@@ -56,8 +56,8 @@ inline pki::DistinguishedName caller_dn(const rpc::CallContext& context) {
 void check_ticket(const rpc::CallContext& context, const std::string& path,
                   bool write);
 
-// system.* (+ echo.echo) touch server-wide state — sessions, the
-// challenge table, config, the registry itself — so they take the server.
+// system.* (+ echo.echo) touch server-wide state — sessions and their
+// challenges, config, the registry itself — so they take the server.
 void register_system_methods(ClarensServer& server);
 
 void register_vo_methods(VoManager& vo, rpc::Registry& registry);

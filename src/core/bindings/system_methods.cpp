@@ -3,20 +3,12 @@
 #include "core/bindings/bindings.hpp"
 
 #include "core/server.hpp"
-#include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
 #include "rpc/fault.hpp"
-#include "rpc/jsonrpc.hpp"
 #include "util/clock.hpp"
 #include "util/hex.hpp"
 
 namespace clarens::core::bindings {
-
-namespace {
-
-constexpr const char* kChallengeTable = "challenges";
-
-}  // namespace
 
 void register_system_methods(ClarensServer& server) {
   ClarensServer* srv = &server;
@@ -108,14 +100,7 @@ void register_system_methods(ClarensServer& server) {
 
   registry.bind(
       "system.challenge",
-      [srv] {
-        std::string nonce = crypto::random_token(24);
-        rpc::Value v = rpc::Value::struct_();
-        v.set("expires", util::unix_now() + srv->config().challenge_ttl);
-        srv->store().put(kChallengeTable, nonce,
-                         rpc::jsonrpc::serialize_value(v));
-        return nonce;
-      },
+      [srv] { return srv->sessions().issue_challenge(); },
       {.help = "Issue a single-use authentication nonce", .is_public = true});
 
   registry.bind(
@@ -137,13 +122,7 @@ void register_system_methods(ClarensServer& server) {
         // Challenge path (plaintext connections):
         //   params = [nonce, chain (array of certificate strings),
         //             signature (base64 of sig over the nonce)].
-        auto challenge = srv->store().get(kChallengeTable, *nonce);
-        if (!challenge) throw rpc::Fault(rpc::kFaultAuth, "unknown challenge");
-        srv->store().erase(kChallengeTable, *nonce);  // single use
-        rpc::Value cv = rpc::jsonrpc::parse_value(*challenge);
-        if (cv.at("expires").as_int() < util::unix_now()) {
-          throw rpc::Fault(rpc::kFaultAuth, "challenge expired");
-        }
+        srv->sessions().consume_challenge(*nonce);
         if (!chain_texts || !signature_b64) {
           throw rpc::Fault(rpc::kFaultType,
                            "system.auth needs [nonce, chain, signature]");

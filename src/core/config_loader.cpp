@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -30,9 +31,59 @@ void apply_allow(AclSpec& spec, const std::string& subject) {
   }
 }
 
+/// Keys clarensd reads itself from the same file (tools/clarensd.cpp).
+constexpr const char* kDaemonKeys[] = {"station_listen_port",
+                                       "discovery_server"};
+
+/// util::Config reads that remember every key asked for, so a key no
+/// read asks for (a typo, a removed knob) is refused instead of silently
+/// ignored.
+class KeyReader {
+ public:
+  explicit KeyReader(const util::Config& config) : config_(config) {
+    for (const char* key : kDaemonKeys) read_.insert(key);
+  }
+
+  std::optional<std::string> get(const std::string& key) {
+    return mark(key).get(key);
+  }
+  std::string get_or(const std::string& key, std::string fallback) {
+    return mark(key).get_or(key, std::move(fallback));
+  }
+  std::int64_t get_int_or(const std::string& key, std::int64_t fallback) {
+    return mark(key).get_int_or(key, fallback);
+  }
+  bool get_bool_or(const std::string& key, bool fallback) {
+    return mark(key).get_bool_or(key, fallback);
+  }
+  std::vector<std::string> get_all(const std::string& key) {
+    return mark(key).get_all(key);
+  }
+
+  /// Throws ParseError naming every key no read asked for.
+  void reject_unread() const {
+    std::string unknown;
+    for (const auto& key : config_.keys()) {
+      if (read_.count(key) != 0) continue;
+      unknown += (unknown.empty() ? "'" : ", '") + key + "'";
+    }
+    if (!unknown.empty()) throw ParseError("unknown config key " + unknown);
+  }
+
+ private:
+  const util::Config& mark(const std::string& key) {
+    read_.insert(key);
+    return config_;
+  }
+
+  const util::Config& config_;
+  std::set<std::string> read_;
+};
+
 }  // namespace
 
-ClarensConfig config_from(const util::Config& config) {
+ClarensConfig config_from(const util::Config& file) {
+  KeyReader config(file);
   ClarensConfig out;
   out.host = config.get_or("host", out.host);
   out.port = static_cast<std::uint16_t>(config.get_int_or("port", 0));
@@ -42,7 +93,6 @@ ClarensConfig config_from(const util::Config& config) {
   out.use_tls = config.get_bool_or("use_tls", false);
   out.require_client_cert = config.get_bool_or("require_client_cert", false);
   out.session_ttl = config.get_int_or("session_ttl", out.session_ttl);
-  out.challenge_ttl = config.get_int_or("challenge_ttl", out.challenge_ttl);
   out.max_read_chunk = config.get_int_or("max_read_chunk", out.max_read_chunk);
   // The binary-protocol blob framing carries a u32 length; a larger chunk
   // limit would let sendfile regions desynchronize the frame from the
@@ -51,30 +101,6 @@ ClarensConfig config_from(const util::Config& config) {
       static_cast<std::uint64_t>(out.max_read_chunk) >
           std::numeric_limits<std::uint32_t>::max()) {
     throw ParseError("max_read_chunk must be in (0, 4294967295]");
-  }
-  out.store_shards = static_cast<std::size_t>(config.get_int_or(
-      "store_shards", static_cast<std::int64_t>(out.store_shards)));
-  if (out.store_shards < 1 || out.store_shards > 1024) {
-    throw ParseError("store_shards must be in [1, 1024]");
-  }
-  out.store_group_commit =
-      config.get_bool_or("store_group_commit", out.store_group_commit);
-  out.store_commit_interval_us = config.get_int_or(
-      "store_commit_interval_us", out.store_commit_interval_us);
-  if (out.store_commit_interval_us < 0 ||
-      out.store_commit_interval_us > 1000000) {
-    throw ParseError("store_commit_interval_us must be in [0, 1000000]");
-  }
-  out.store_commit_batch_max = static_cast<std::size_t>(config.get_int_or(
-      "store_commit_batch_max",
-      static_cast<std::int64_t>(out.store_commit_batch_max)));
-  if (out.store_commit_batch_max < 1 || out.store_commit_batch_max > 65536) {
-    throw ParseError("store_commit_batch_max must be in [1, 65536]");
-  }
-  out.store_compact_threshold = config.get_int_or("store_compact_threshold",
-                                                  out.store_compact_threshold);
-  if (out.store_compact_threshold < 4096) {
-    throw ParseError("store_compact_threshold must be >= 4096");
   }
   out.session_durable_writes = config.get_bool_or("session_durable_writes",
                                                   out.session_durable_writes);
@@ -222,25 +248,6 @@ ClarensConfig config_from(const util::Config& config) {
   if (out.replication_grace_ms < 100 || out.replication_grace_ms > 600000) {
     throw ParseError("replication_grace_ms must be in [100, 600000]");
   }
-  out.replication_retry_max = static_cast<int>(
-      config.get_int_or("replication_retry_max", out.replication_retry_max));
-  if (out.replication_retry_max < 1 || out.replication_retry_max > 64) {
-    throw ParseError("replication_retry_max must be in [1, 64]");
-  }
-  out.replication_retry_base_ms = static_cast<int>(config.get_int_or(
-      "replication_retry_base_ms", out.replication_retry_base_ms));
-  if (out.replication_retry_base_ms < 1 ||
-      out.replication_retry_base_ms > 60000) {
-    throw ParseError("replication_retry_base_ms must be in [1, 60000]");
-  }
-  out.replication_retry_max_ms = static_cast<int>(config.get_int_or(
-      "replication_retry_max_ms", out.replication_retry_max_ms));
-  if (out.replication_retry_max_ms < out.replication_retry_base_ms ||
-      out.replication_retry_max_ms > 600000) {
-    throw ParseError(
-        "replication_retry_max_ms must be in [replication_retry_base_ms, "
-        "600000]");
-  }
   out.replication_chunk =
       config.get_int_or("replication_chunk", out.replication_chunk);
   if (out.replication_chunk < 4096 ||
@@ -273,6 +280,7 @@ ClarensConfig config_from(const util::Config& config) {
   if (out.use_tls && !out.credential) {
     throw ParseError("use_tls requires credential_file");
   }
+  config.reject_unread();
   return out;
 }
 

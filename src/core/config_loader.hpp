@@ -34,7 +34,10 @@
 namespace clarens::core {
 
 /// Interpret a parsed Config. Credential/trust/user-map files referenced
-/// by it are loaded from disk. Throws clarens::ParseError/SystemError.
+/// by it are loaded from disk. Throws clarens::ParseError/SystemError;
+/// a key this loader does not read is a ParseError naming the key (the
+/// daemon-level keys clarensd reads itself, station_listen_port and
+/// discovery_server, are accepted).
 ClarensConfig config_from(const util::Config& config);
 
 /// Load + interpret a file.

@@ -55,19 +55,9 @@ const char* to_string(NodeRole role) {
 
 ClarensServer::ClarensServer(ClarensConfig config)
     : config_(std::move(config)) {
-  if (config_.data_dir.empty()) {
-    store_ = std::make_unique<db::Store>();
-  } else {
-    db::StoreOptions store_options;
-    store_options.shards = config_.store_shards;
-    store_options.group_commit = config_.store_group_commit;
-    store_options.commit_interval_us =
-        static_cast<std::uint32_t>(config_.store_commit_interval_us);
-    store_options.commit_batch_max = config_.store_commit_batch_max;
-    store_options.compact_threshold =
-        static_cast<std::size_t>(config_.store_compact_threshold);
-    store_ = std::make_unique<db::Store>(config_.data_dir, store_options);
-  }
+  store_ = config_.data_dir.empty()
+               ? std::make_unique<db::Store>()
+               : std::make_unique<db::Store>(config_.data_dir);
   sessions_ = std::make_unique<SessionManager>(
       *store_, config_.session_ttl,
       config_.session_durable_writes && store_->persistent());
@@ -157,9 +147,6 @@ void ClarensServer::attach_discovery(discovery::DiscoveryServer& discovery) {
     layouts_ = std::make_unique<federation::LayoutTable>(*store_);
     federation::ReplicatorOptions ropts;
     ropts.replicas = config_.placement_replicas;
-    ropts.retry_max = config_.replication_retry_max;
-    ropts.retry_base_ms = config_.replication_retry_base_ms;
-    ropts.retry_max_ms = config_.replication_retry_max_ms;
     ropts.node_grace_ms = config_.replication_grace_ms;
     ropts.suspect_ttl_ms = config_.replica_suspect_ttl_ms;
     ropts.fsck_interval_ms = config_.fsck_interval_ms;
@@ -189,27 +176,28 @@ void ClarensServer::start() {
   options.host = config_.host;
   options.port = config_.port;
   options.max_connections = config_.max_connections;
-  options.dispatch.inline_dispatch = config_.inline_dispatch;
   // The dispatch-cost key (DESIGN.md "Dispatch policy"): a cheap method
   // peek before the full parse. Only modules whose handlers are
   // in-memory and store-read-only are inline-eligible; the auth
   // handshake methods do crypto and write the session store, so they
-  // always take a worker.
-  options.dispatch.cost_key = [](const http::Request& request) -> std::string {
-    if (request.method != "POST") return {};
-    const std::string* content_type = request.headers.find("Content-Type");
-    rpc::Protocol protocol = rpc::detect(
-        content_type ? *content_type : std::string_view(), request.body);
-    std::string name = rpc::peek_method(protocol, request.body);
-    std::string_view module =
-        std::string_view(name).substr(0, std::min(name.find('.'), name.size()));
-    if (module != "system" && module != "echo") return {};
-    if (name == "system.auth" || name == "system.challenge" ||
-        name == "system.logout") {
-      return {};
-    }
-    return name;
-  };
+  // always take a worker. Inline dispatch off = no key at all.
+  if (config_.inline_dispatch) {
+    options.cost_key = [](const http::Request& request) -> std::string {
+      if (request.method != "POST") return {};
+      const std::string* content_type = request.headers.find("Content-Type");
+      rpc::Protocol protocol = rpc::detect(
+          content_type ? *content_type : std::string_view(), request.body);
+      std::string name = rpc::peek_method(protocol, request.body);
+      std::string_view module = std::string_view(name).substr(
+          0, std::min(name.find('.'), name.size()));
+      if (module != "system" && module != "echo") return {};
+      if (name == "system.auth" || name == "system.challenge" ||
+          name == "system.logout") {
+        return {};
+      }
+      return name;
+    };
+  }
   if (config_.use_tls) {
     if (!config_.credential) {
       throw Error("TLS requires a server credential");

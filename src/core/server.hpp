@@ -6,8 +6,10 @@
 // services, the discovery publisher, and the browser portal page.
 //
 // Every RPC passes through the two access-control checks the paper's
-// performance section describes — session validity and method ACL — each
-// a database lookup, with no per-request caching.
+// performance section describes — session validity and method ACL. The
+// database stays the source of truth for both, but warm checks are
+// served from the session cache and the compiled method-ACL cache, so a
+// warm authenticated call performs no store access.
 #pragma once
 
 #include <map>
@@ -60,14 +62,9 @@ struct ClarensConfig {
 
   /// Persistent state directory; empty = in-memory database (sessions
   /// then do NOT survive restarts — fine for tests and benchmarks).
+  /// Persistent stores use the default db::StoreOptions engine tuning.
   std::string data_dir;
 
-  /// Storage-engine tuning (persistent stores only; see db::StoreOptions).
-  std::size_t store_shards = 16;
-  bool store_group_commit = true;
-  std::int64_t store_commit_interval_us = 200;
-  std::size_t store_commit_batch_max = 256;
-  std::int64_t store_compact_threshold = 8 * 1024 * 1024;
   /// Durable session mutations: session create/destroy ack only after
   /// their journal group is fdatasync'ed (group commit amortizes the
   /// fsync across concurrent logins). Off = async journaling, the
@@ -108,7 +105,6 @@ struct ClarensConfig {
   int transfer_workers = 2;
 
   std::int64_t session_ttl = 24 * 3600;
-  std::int64_t challenge_ttl = 300;
   /// Largest file.read chunk a client may request in one call. The
   /// wire-supplied length sizes a server buffer, so it is clamped.
   std::int64_t max_read_chunk = 8 * 1024 * 1024;
@@ -162,11 +158,6 @@ struct ClarensConfig {
   /// Head: how long a storage node may be absent from discovery before
   /// its replicas are declared missing and re-replication starts.
   int replication_grace_ms = 5000;
-  /// Bounded retry of queued replication work: attempts per task, first
-  /// delay, and the cap the exponential backoff saturates at.
-  int replication_retry_max = 8;
-  int replication_retry_base_ms = 100;
-  int replication_retry_max_ms = 5000;
   /// Bytes per hop when the repair engine copies a replica between
   /// storage nodes; clamped to max_read_chunk at validation time.
   std::int64_t replication_chunk = 1 * 1024 * 1024;

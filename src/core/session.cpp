@@ -11,7 +11,13 @@ namespace clarens::core {
 
 namespace {
 constexpr const char* kTable = "sessions";
+constexpr const char* kChallengeTable = "challenges";
+
+/// A challenge row is {"expires": <unix time>}.
+std::int64_t challenge_expiry(const std::string& text) {
+  return rpc::jsonrpc::parse_value(text).at("expires").as_int();
 }
+}  // namespace
 
 SessionManager::SessionManager(db::Store& store, std::int64_t default_ttl,
                                bool durable_writes)
@@ -194,6 +200,23 @@ bool SessionManager::destroy(const std::string& id) {
   return existed;
 }
 
+std::string SessionManager::issue_challenge() {
+  std::string nonce = crypto::random_token(24);
+  std::int64_t expires = util::unix_now() + kChallengeTtl;
+  store_.put(kChallengeTable, nonce,
+             "{\"expires\":" + std::to_string(expires) + "}");
+  return nonce;
+}
+
+void SessionManager::consume_challenge(const std::string& nonce) {
+  auto text = store_.get(kChallengeTable, nonce);
+  if (!text) throw AuthError("unknown challenge");
+  store_.erase(kChallengeTable, nonce);  // single use
+  if (challenge_expiry(*text) < util::unix_now()) {
+    throw AuthError("challenge expired");
+  }
+}
+
 std::size_t SessionManager::reap_expired() {
   std::size_t reaped = 0;
   std::int64_t now = util::unix_now();
@@ -204,6 +227,13 @@ std::size_t SessionManager::reap_expired() {
     if (decode(id, *text).expires < now) {
       store_.erase(kTable, id);
       cache_erase(id);
+      ++reaped;
+    }
+  }
+  for (const auto& nonce : store_.keys(kChallengeTable)) {
+    auto text = store_.get(kChallengeTable, nonce);
+    if (text && challenge_expiry(*text) < now) {
+      store_.erase(kChallengeTable, nonce);
       ++reaped;
     }
   }

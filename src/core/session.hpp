@@ -75,7 +75,18 @@ class SessionManager {
   /// Returns true if the session existed.
   bool destroy(const std::string& id);
 
-  /// Remove all expired sessions; returns count reaped.
+  /// Issue a single-use authentication nonce (system.challenge), valid
+  /// for kChallengeTtl seconds.
+  std::string issue_challenge();
+
+  /// Consume a nonce issued by issue_challenge(). Single use: the row is
+  /// gone afterwards whatever the outcome. Throws clarens::AuthError when
+  /// the nonce is unknown or expired.
+  void consume_challenge(const std::string& nonce);
+
+  /// Remove all expired sessions and all expired, unanswered challenges
+  /// (system.challenge is public, so without this sweep anonymous callers
+  /// could grow the store without bound); returns the count reaped.
   std::size_t reap_expired();
 
   std::size_t active_count() const;
@@ -83,6 +94,8 @@ class SessionManager {
  private:
   static constexpr std::size_t kShards = 16;
   static constexpr std::size_t kShardCap = 4096;  // bound memory, not an LRU
+  /// Lifetime of an unanswered authentication challenge, in seconds.
+  static constexpr std::int64_t kChallengeTtl = 300;
 
   /// Shard locks are leaves: store reads on the miss path happen before
   /// the insert lock is taken, never under it (docs/CONCURRENCY.md,

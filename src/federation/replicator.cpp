@@ -12,6 +12,13 @@ namespace {
 
 std::chrono::milliseconds ms(int n) { return std::chrono::milliseconds(n); }
 
+/// Attempts per queued task before it is parked.
+constexpr int kRetryMax = 8;
+/// First retry delay; doubles per attempt up to kRetryMaxMs, with +-25%
+/// jitter so a cluster-wide event does not retry in lockstep.
+constexpr int kRetryBaseMs = 100;
+constexpr int kRetryMaxMs = 5000;
+
 /// "/data/run1/evt.bin" -> "/data/run1"; "/evt.bin" -> "/". The ticket
 /// scope for a copy: covers the file and the mkdir of its parent.
 std::string parent_of(const std::string& path) {
@@ -93,7 +100,7 @@ void Replicator::note_write(const std::string& path,
     return true;
   });
   // Give the redirected client a beat to actually write before polling.
-  enqueue(Task::Kind::Replicate, path, options_.retry_base_ms);
+  enqueue(Task::Kind::Replicate, path, kRetryBaseMs);
 }
 
 struct Replicator::InflightMark {
@@ -399,7 +406,7 @@ void Replicator::execute(Task task) {
     ++stats_.completed;
     return;
   }
-  if (++task.attempt >= options_.retry_max) {
+  if (++task.attempt >= kRetryMax) {
     ++stats_.parked;
     CLARENS_LOG(Warn) << "replicator: parking " << task.path << " after "
                       << task.attempt << " attempts: " << error;
@@ -416,11 +423,11 @@ void Replicator::execute(Task task) {
 }
 
 int Replicator::backoff_ms_locked(int attempt) {
-  std::int64_t delay = options_.retry_base_ms;
-  for (int i = 1; i < attempt && delay < options_.retry_max_ms; ++i) {
+  std::int64_t delay = kRetryBaseMs;
+  for (int i = 1; i < attempt && delay < kRetryMaxMs; ++i) {
     delay *= 2;
   }
-  delay = std::min<std::int64_t>(delay, options_.retry_max_ms);
+  delay = std::min<std::int64_t>(delay, kRetryMaxMs);
   // xorshift64; +-25% jitter so a cluster event does not retry in phase.
   rand_state_ ^= rand_state_ << 13;
   rand_state_ ^= rand_state_ >> 7;

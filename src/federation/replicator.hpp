@@ -14,7 +14,7 @@
 //     (file.read), land them on the target (file.write + file.append),
 //     then verify with file.checksum before marking the replica healthy.
 //     Failures retry with capped exponential backoff + jitter; after
-//     retry_max attempts the task is parked (the periodic
+//     kRetryMax attempts the task is parked (the periodic
 //     under-replication sweep and the fsck scrub pick it up again).
 //   * A membership tick watches Router::storage_nodes(): a node gone for
 //     longer than the grace period has its replicas marked missing and
@@ -61,12 +61,6 @@ namespace clarens::federation {
 struct ReplicatorOptions {
   /// Default replica_count stamped on new layouts (placement_replicas).
   int replicas = 1;
-  /// Attempts per queued task before it is parked.
-  int retry_max = 8;
-  /// First retry delay; doubles per attempt up to retry_max_ms, with
-  /// +-25% jitter so a cluster-wide event does not retry in lockstep.
-  int retry_base_ms = 100;
-  int retry_max_ms = 5000;
   /// How long a node must be absent from the ring before its replicas
   /// are declared missing and re-replication starts.
   int node_grace_ms = 5000;

@@ -42,9 +42,6 @@ void Router::refresh_if_stale() {
   std::map<std::string, NodeInfo> by_id;
   for (const auto& record : discovery_.find_services("")) {
     if (record.role != "storage") continue;
-    if (!options_.self_url.empty() && record.url == options_.self_url) {
-      continue;
-    }
     NodeInfo& node = by_id[record.farm + "/" + record.node];
     node.id = record.farm + "/" + record.node;
     node.url = record.url;

@@ -31,9 +31,6 @@
 namespace clarens::federation {
 
 struct RouterOptions {
-  /// This head's own URL — excluded from the ring even if a colocated
-  /// storage role publishes under the same farm/node.
-  std::string self_url;
   /// Shared cluster secret for node tickets.
   std::string secret;
   /// Distinct nodes per prefix (primary + fallbacks).

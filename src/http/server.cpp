@@ -56,6 +56,16 @@ std::span<const std::uint8_t> as_bytes(std::string_view s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
+// Inline-dispatch policy (DESIGN.md "Dispatch policy").
+/// Requests with bodies above this never run inline.
+constexpr std::size_t kInlineMaxBody = 16 * 1024;
+/// A method whose EWMA cost exceeds this spills (microseconds).
+constexpr double kInlineCostLimitUs = 500.0;
+/// Total inline handler time allowed per epoll tick (microseconds); past
+/// it the remainder of the tick spills, bounding how long the reactor
+/// defers its read loop.
+constexpr double kInlineBudgetUs = 5000.0;
+
 }  // namespace
 
 Server::Server(ServerOptions options, HandlerFn handler)
@@ -69,15 +79,11 @@ void Server::start() {
   port_ = listener_.local_port();
   listener_.set_nonblocking(true);
 
-  std::size_t workers = options_.worker_threads;
-  if (workers == 0) {
-    // The reactor thread occupies one core; handlers get the rest. On a
-    // single-core host one worker minimizes scheduler churn between the
-    // reader and the handler.
-    std::size_t cores = util::Thread::hardware_concurrency();
-    workers = cores > 1 ? cores - 1 : 1;
-  }
-  pool_ = std::make_unique<util::ThreadPool>(workers);
+  // The reactor thread occupies one core; handlers get the rest. On a
+  // single-core host one worker minimizes scheduler churn between the
+  // reader and the handler.
+  std::size_t cores = util::Thread::hardware_concurrency();
+  pool_ = std::make_unique<util::ThreadPool>(cores > 1 ? cores - 1 : 1);
   reactor_ = std::make_unique<net::Reactor>();
   reactor_->add(listener_.fd(), net::Reactor::kRead,
                 [this](std::uint32_t) { on_acceptable(); });
@@ -189,10 +195,8 @@ void Server::on_readable(const std::shared_ptr<Conn>& conn) {
     std::optional<Request> request;
     while ((request = conn->parser.next())) {
       Conn::Pending item;
-      const DispatchOptions& d = options_.dispatch;
-      if (d.inline_dispatch && d.cost_key &&
-          request->body.size() <= d.inline_max_body) {
-        item.cost_key = d.cost_key(*request);
+      if (options_.cost_key && request->body.size() <= kInlineMaxBody) {
+        item.cost_key = options_.cost_key(*request);
       }
       item.request = std::move(*request);
       parsed.push_back(std::move(item));
@@ -299,7 +303,6 @@ void Server::maybe_dispatch(const std::shared_ptr<Conn>& conn) {
   bool run_inline = false;
   bool spill = false;
   bool close_now = false;
-  bool bad = false;
   {
     util::LockGuard lock(conn->mutex);
     if (conn->busy) return;
@@ -312,7 +315,6 @@ void Server::maybe_dispatch(const std::shared_ptr<Conn>& conn) {
       }
     } else if (conn->closing) {
       close_now = true;
-      bad = conn->bad;
     }
   }
   if (run_inline) {
@@ -320,36 +322,20 @@ void Server::maybe_dispatch(const std::shared_ptr<Conn>& conn) {
   } else if (spill) {
     pool_->submit([this, conn] { worker_drain(conn); });
   } else if (close_now) {
-    if (bad) {
-      // Malformed stream and no drainer to answer: refuse best-effort,
-      // never blocking the reactor on a full socket buffer.
-      std::string wire = Response::make(400, "malformed request\n").serialize();
-      try {
-        if (conn->engine && conn->engine->handshake_done()) {
-          thread_local util::Buffer enc;
-          enc.clear();
-          conn->engine->encrypt(as_bytes(wire), enc);
-          conn->tcp.write_some(enc.peek());
-        } else if (!conn->engine) {
-          conn->tcp.write_some(as_bytes(wire));
-        }
-      } catch (const SystemError&) {
-      }
-    }
+    refuse_if_malformed(*conn);
     close_conn(conn);
   }
 }
 
 bool Server::inline_eligible(const Conn::Pending& item) {
-  const DispatchOptions& d = options_.dispatch;
-  if (!d.inline_dispatch || item.cost_key.empty()) return false;
+  if (item.cost_key.empty()) return false;
   std::uint64_t tick = reactor_->ticks();
   if (tick != budget_tick_) {
     budget_tick_ = tick;
     budget_spent_us_ = 0;
   }
-  if (budget_spent_us_ >= d.inline_budget_us) return false;
-  return cost_of(item.cost_key) < d.inline_cost_limit_us;
+  if (budget_spent_us_ >= kInlineBudgetUs) return false;
+  return cost_of(item.cost_key) < kInlineCostLimitUs;
 }
 
 double Server::cost_of(const std::string& key) {
@@ -484,26 +470,32 @@ void Server::inline_drain(const std::shared_ptr<Conn>& conn) {
   // Drained a closing connection on the reactor: best-effort 400 if the
   // stream was malformed, then tear down. busy is already released, but
   // no other dispatcher can run — we are the dispatcher.
-  bool bad;
-  {
-    util::LockGuard lock(conn->mutex);
-    bad = conn->bad;
-  }
-  if (bad) {
-    std::string wire = Response::make(400, "malformed request\n").serialize();
-    try {
-      if (conn->engine && conn->engine->handshake_done()) {
-        thread_local util::Buffer enc;
-        enc.clear();
-        conn->engine->encrypt(as_bytes(wire), enc);
-        conn->tcp.write_some(enc.peek());
-      } else if (!conn->engine) {
-        conn->tcp.write_some(as_bytes(wire));
-      }
-    } catch (const SystemError&) {
-    }
-  }
+  refuse_if_malformed(*conn);
   close_conn(conn);
+}
+
+void Server::refuse_if_malformed(Conn& conn) {
+  {
+    util::LockGuard lock(conn.mutex);
+    if (!conn.bad) return;
+  }
+  // Parked bytes must go first, and a blocking write would stall the
+  // reactor (or pin a worker) on a full socket buffer; in either case
+  // the connection is being torn down, so the refusal is simply dropped.
+  if (conn.outbox.readable() != 0) return;
+  if (conn.engine && !conn.engine->handshake_done()) return;
+  std::string wire = Response::make(400, "malformed request\n").serialize();
+  try {
+    if (conn.engine) {
+      thread_local util::Buffer enc;
+      enc.clear();
+      conn.engine->encrypt(as_bytes(wire), enc);
+      conn.tcp.write_some(enc.peek());
+    } else {
+      conn.tcp.write_some(as_bytes(wire));
+    }
+  } catch (const SystemError&) {
+  }
 }
 
 bool Server::write_or_park(const std::shared_ptr<Conn>& conn,
@@ -600,23 +592,7 @@ void Server::worker_drain(std::shared_ptr<Conn> conn) {
 
   // Finishing a closing connection. `busy` is still held, so the
   // reactor cannot close the fd underneath the 400 write below.
-  bool bad;
-  {
-    util::LockGuard lock(conn->mutex);
-    bad = conn->bad;
-  }
-  if (bad) {
-    std::string wire = Response::make(400, "malformed request\n").serialize();
-    try {
-      if (conn->engine && conn->engine->handshake_done()) {
-        TlsStream stream(conn->tcp, *conn->engine);
-        stream.write_all(wire);
-      } else if (!conn->engine) {
-        conn->tcp.write_all(wire);
-      }
-    } catch (const SystemError&) {
-    }
-  }
+  refuse_if_malformed(*conn);
   {
     util::LockGuard lock(conn->mutex);
     conn->busy = false;

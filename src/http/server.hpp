@@ -63,38 +63,19 @@ struct Peer {
 
 using HandlerFn = std::function<Response(const Request&, const Peer&)>;
 
-/// Inline-dispatch policy (DESIGN.md "Dispatch policy"). The reactor runs
-/// a request inline iff cost_key() returns a non-empty key, the body is
-/// small, the key's EWMA cost is under the limit, and this epoll tick's
-/// inline budget is not exhausted; otherwise the request spills to the
-/// worker pool.
-struct DispatchOptions {
-  /// Master switch; off = every request takes the worker handoff (the
-  /// pre-inline behavior, kept benchmarkable as the ablation).
-  bool inline_dispatch = true;
-  /// Requests with bodies above this never run inline.
-  std::size_t inline_max_body = 16 * 1024;
-  /// A method whose EWMA cost exceeds this spills (microseconds).
-  double inline_cost_limit_us = 500.0;
-  /// Total inline handler time allowed per epoll tick (microseconds);
-  /// past it the remainder of the tick spills, bounding how long the
-  /// reactor defers its read loop.
-  double inline_budget_us = 5000.0;
-  /// Maps a parsed request to its cost-tracking key ("" = never inline).
-  /// Unset = inline dispatch disabled: only the embedder knows which
-  /// handlers are safe to run on the reactor thread.
-  std::function<std::string(const Request&)> cost_key;
-};
-
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral
   std::optional<tls::TlsConfig> tls;
   std::size_t max_connections = 1024;
-  /// Handler worker threads; 0 = hardware_concurrency - 1 (min 1), the
-  /// reactor thread taking the remaining core.
-  std::size_t worker_threads = 0;
-  DispatchOptions dispatch;
+  /// Inline-dispatch cost key (DESIGN.md "Dispatch policy"): maps a
+  /// parsed request to its cost-tracking key ("" = never inline). The
+  /// reactor runs a request inline iff the key is non-empty, the body is
+  /// small, the key's EWMA cost is under the limit, and this epoll tick's
+  /// inline budget is not exhausted; otherwise it spills to the worker
+  /// pool. Unset = inline dispatch disabled: only the embedder knows
+  /// which handlers are safe to run on the reactor thread.
+  std::function<std::string(const Request&)> cost_key;
 };
 
 class Server {
@@ -179,6 +160,10 @@ class Server {
   bool write_or_park(const std::shared_ptr<Conn>& conn,
                      std::span<const std::string_view> chunks);
   void close_conn(const std::shared_ptr<Conn>& conn);  // reactor thread only
+  /// On a malformed stream, a best-effort "400 malformed request" before
+  /// teardown: one non-blocking write, skipped while the outbox holds
+  /// bytes that would have to go first. Caller is the only writer.
+  static void refuse_if_malformed(Conn& conn);
 
   // Dispatch-policy state.
   bool inline_eligible(const Conn::Pending& item) CLARENS_EXCLUDES(costs_mutex_);

@@ -1,8 +1,12 @@
-// Tests for the configuration loader: every key, file references, and a
-// daemon-style boot from a generated config.
+// Tests for the configuration loader: every key, unknown-key rejection,
+// the config texts shipped in docs and tool comments, file references,
+// and a daemon-style boot from a generated config.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 
 #include "client/client.hpp"
 #include "core/config_loader.hpp"
@@ -92,47 +96,11 @@ TEST(ConfigLoader, MalformedEntriesThrow) {
   EXPECT_NO_THROW(config_from(util::Config::parse("max_read_chunk 4294967295\n")));
 }
 
-TEST(ConfigLoader, StorageEngineKnobs) {
-  ClarensConfig out = config_from(util::Config::parse(
-      "store_shards 64\n"
-      "store_group_commit false\n"
-      "store_commit_interval_us 500\n"
-      "store_commit_batch_max 1024\n"
-      "store_compact_threshold 1048576\n"
-      "session_durable_writes true\n"));
-  EXPECT_EQ(out.store_shards, 64u);
-  EXPECT_FALSE(out.store_group_commit);
-  EXPECT_EQ(out.store_commit_interval_us, 500);
-  EXPECT_EQ(out.store_commit_batch_max, 1024u);
-  EXPECT_EQ(out.store_compact_threshold, 1048576);
-  EXPECT_TRUE(out.session_durable_writes);
-
-  // Defaults when unset.
-  ClarensConfig defaults = config_from(util::Config::parse("host x\n"));
-  EXPECT_EQ(defaults.store_shards, 16u);
-  EXPECT_TRUE(defaults.store_group_commit);
-  EXPECT_FALSE(defaults.session_durable_writes);
-}
-
-TEST(ConfigLoader, StorageEngineKnobValidation) {
-  EXPECT_THROW(config_from(util::Config::parse("store_shards 0\n")),
-               ParseError);
-  EXPECT_THROW(config_from(util::Config::parse("store_shards 2048\n")),
-               ParseError);
-  EXPECT_THROW(
-      config_from(util::Config::parse("store_commit_interval_us -1\n")),
-      ParseError);
-  EXPECT_THROW(
-      config_from(util::Config::parse("store_commit_interval_us 2000000\n")),
-      ParseError);
-  EXPECT_THROW(config_from(util::Config::parse("store_commit_batch_max 0\n")),
-               ParseError);
-  EXPECT_THROW(
-      config_from(util::Config::parse("store_commit_batch_max 100000\n")),
-      ParseError);
-  EXPECT_THROW(
-      config_from(util::Config::parse("store_compact_threshold 1024\n")),
-      ParseError);
+TEST(ConfigLoader, SessionDurableWrites) {
+  EXPECT_TRUE(config_from(util::Config::parse("session_durable_writes true\n"))
+                  .session_durable_writes);
+  EXPECT_FALSE(config_from(util::Config::parse("host x\n"))
+                   .session_durable_writes);
 }
 
 TEST(ConfigLoader, FederationKnobs) {
@@ -214,23 +182,16 @@ TEST(ConfigLoader, ReplicationKnobs) {
       "node_role head\n"
       "node_ticket_secret 0123456789abcdef\n"
       "replication_grace_ms 1500\n"
-      "replication_retry_max 4\n"
-      "replication_retry_base_ms 50\n"
-      "replication_retry_max_ms 2000\n"
       "replication_chunk 65536\n"
       "fsck_interval_ms 30000\n"
       "replica_suspect_ttl_ms 1000\n"));
   EXPECT_EQ(head.replication_grace_ms, 1500);
-  EXPECT_EQ(head.replication_retry_max, 4);
-  EXPECT_EQ(head.replication_retry_base_ms, 50);
-  EXPECT_EQ(head.replication_retry_max_ms, 2000);
   EXPECT_EQ(head.replication_chunk, 65536);
   EXPECT_EQ(head.fsck_interval_ms, 30000);
   EXPECT_EQ(head.replica_suspect_ttl_ms, 1000);
 
   ClarensConfig defaults = config_from(util::Config::parse("host x\n"));
   EXPECT_EQ(defaults.replication_grace_ms, 5000);
-  EXPECT_EQ(defaults.replication_retry_max, 8);
   EXPECT_EQ(defaults.fsck_interval_ms, 0);  // scrub on demand only
 }
 
@@ -240,18 +201,6 @@ TEST(ConfigLoader, ReplicationKnobValidation) {
   EXPECT_THROW(
       config_from(util::Config::parse("replication_grace_ms 600001\n")),
       ParseError);
-  EXPECT_THROW(config_from(util::Config::parse("replication_retry_max 0\n")),
-               ParseError);
-  EXPECT_THROW(config_from(util::Config::parse("replication_retry_max 65\n")),
-               ParseError);
-  EXPECT_THROW(
-      config_from(util::Config::parse("replication_retry_base_ms 0\n")),
-      ParseError);
-  // The cap may not undercut the base.
-  EXPECT_THROW(config_from(util::Config::parse(
-                   "replication_retry_base_ms 500\n"
-                   "replication_retry_max_ms 100\n")),
-               ParseError);
   EXPECT_THROW(config_from(util::Config::parse("replication_chunk 4095\n")),
                ParseError);
   // The copy chunk rides over file.read/file.append, so it is bounded
@@ -269,6 +218,113 @@ TEST(ConfigLoader, ReplicationKnobValidation) {
   EXPECT_THROW(
       config_from(util::Config::parse("replica_suspect_ttl_ms 600001\n")),
       ParseError);
+}
+
+TEST(ConfigLoader, UnknownKeysThrowNamingTheKey) {
+  // A misspelt knob must not silently run the cluster on the default.
+  try {
+    config_from(util::Config::parse("placement_replica 2\n"));
+    FAIL() << "misspelt key accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("'placement_replica'"),
+              std::string::npos)
+        << e.what();
+  }
+  // Knobs that no longer exist are unknown keys too; their values are
+  // fixed in the code.
+  for (const char* removed :
+       {"store_shards 16", "store_group_commit true",
+        "store_commit_interval_us 200", "store_commit_batch_max 256",
+        "store_compact_threshold 8388608", "challenge_ttl 300",
+        "replication_retry_max 8", "replication_retry_base_ms 100",
+        "replication_retry_max_ms 5000"}) {
+    EXPECT_THROW(config_from(util::Config::parse(removed)), ParseError)
+        << removed;
+  }
+}
+
+TEST(ConfigLoader, AcceptsDaemonLevelKeys) {
+  // clarensd reads these two from the same file itself.
+  EXPECT_NO_THROW(config_from(util::Config::parse(
+      "station 127.0.0.1:17700\n"
+      "station_listen_port 17700\n"
+      "discovery_server true\n")));
+}
+
+/// Config texts embedded in the repository's docs and tool comments:
+/// shell here-documents ending in EOF (C++ comment markers stripped) and
+/// fenced conf-tagged code blocks in markdown.
+std::vector<std::string> embedded_configs(const std::string& text) {
+  std::vector<std::string> blocks;
+  std::istringstream lines(text);
+  std::string line;
+  std::string* open = nullptr;
+  std::string fence_end;
+  while (std::getline(lines, line)) {
+    std::string body = line;
+    std::size_t first = body.find_first_not_of(" \t");
+    body = first == std::string::npos ? "" : body.substr(first);
+    if (body.rfind("//", 0) == 0) {
+      body = body.substr(2);
+      first = body.find_first_not_of(" \t");
+      body = first == std::string::npos ? "" : body.substr(first);
+    }
+    if (open) {
+      if (body == fence_end) {
+        open = nullptr;
+      } else {
+        *open += body + "\n";
+      }
+    } else if (body.ends_with("<<" "EOF")) {
+      open = &blocks.emplace_back();
+      fence_end = "EOF";
+    } else if (body == "```" "conf") {
+      open = &blocks.emplace_back();
+      fence_end = "```";
+    }
+  }
+  return blocks;
+}
+
+TEST(ConfigLoader, EveryConfigTextInTheRepositoryLoads) {
+  namespace fs = std::filesystem;
+  std::size_t loaded = 0;
+  fs::recursive_directory_iterator it(CLARENS_SOURCE_DIR), end;
+  for (; it != end; ++it) {
+    // Skip version control and build trees.
+    std::string name = it->path().filename().string();
+    if (it->is_directory() &&
+        (name == ".git" || name.starts_with("build") ||
+         name == ".bench_build")) {
+      it.disable_recursion_pending();
+      continue;
+    }
+    if (!it->is_regular_file()) continue;
+    std::ifstream in(it->path(), std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    for (const std::string& block : embedded_configs(text)) {
+      // The referenced credential/trust files only exist on a
+      // deployment; everything else must load as written.
+      util::Config parsed = util::Config::parse(block);
+      util::Config config;
+      for (const std::string& key : parsed.keys()) {
+        if (key == "credential_file" || key == "chain_file" ||
+            key == "trust_file" || key == "user_map_file" ||
+            key == "use_tls") {
+          continue;
+        }
+        for (std::string value : parsed.get_all(key)) {
+          config.add(key, std::move(value));
+        }
+      }
+      EXPECT_NO_THROW(config_from(config)) << it->path() << ":\n" << block;
+      ++loaded;
+    }
+  }
+  // clarensd's usage comment plus the verify notes' standalone and
+  // federation-head configs, at least.
+  EXPECT_GE(loaded, 3u);
 }
 
 TEST(ConfigLoader, LoadsCredentialTrustAndUserMapFiles) {

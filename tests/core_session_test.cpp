@@ -80,6 +80,32 @@ TEST(Sessions, ReapExpiredSweepsOnlyExpired) {
   EXPECT_EQ(live.active_count(), 1u);
 }
 
+TEST(Sessions, ChallengesAreSingleUseAndExpire) {
+  db::Store store;
+  SessionManager sessions(store);
+  std::string nonce = sessions.issue_challenge();
+  EXPECT_NE(nonce, sessions.issue_challenge());
+  EXPECT_NO_THROW(sessions.consume_challenge(nonce));
+  EXPECT_THROW(sessions.consume_challenge(nonce), AuthError);
+  EXPECT_THROW(sessions.consume_challenge("never-issued"), AuthError);
+  // An expired nonce is refused, and consumed all the same.
+  store.put("challenges", "stale", R"({"expires":1})");
+  EXPECT_THROW(sessions.consume_challenge("stale"), AuthError);
+  EXPECT_FALSE(store.get("challenges", "stale").has_value());
+}
+
+TEST(Sessions, ReapSweepsExpiredUnansweredChallenges) {
+  // system.challenge is public: rows nobody answers must not accumulate.
+  db::Store store;
+  SessionManager sessions(store);
+  std::string live = sessions.issue_challenge();
+  store.put("challenges", "stale", R"({"expires":1})");
+  EXPECT_EQ(sessions.reap_expired(), 1u);
+  EXPECT_FALSE(store.get("challenges", "stale").has_value());
+  EXPECT_TRUE(store.get("challenges", live).has_value());
+  EXPECT_NO_THROW(sessions.consume_challenge(live));
+}
+
 TEST(Sessions, PersistAcrossStoreReopen) {
   TempDir tmp;
   std::string id;

@@ -2,12 +2,14 @@
 // in http_test.cpp do not pin down: keep-alive pipelining (multiple
 // requests in one TCP segment, responses in order), requests arriving in
 // arbitrary partial pieces, Connection: close semantics, the non-blocking
-// 503 load-shed path, many concurrent keep-alive connections, and prompt
-// stop() with idle connections still open.
+// 503 load-shed path, many concurrent keep-alive connections, the
+// best-effort 400 refusal of a malformed stream, and prompt stop() with
+// idle connections still open.
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 #include "http/parser.hpp"
 #include "http/server.hpp"
 #include "net/socket.hpp"
+#include "test_fixtures.hpp"
+#include "tls/channel.hpp"
 #include "util/sync.hpp"
 
 namespace clarens::http {
@@ -31,8 +35,7 @@ Server make_echo_server(ServerOptions options = {}) {
 }
 
 /// Read responses off `conn` until `count` have parsed (or EOF).
-std::vector<Response> read_responses(net::TcpConnection& conn,
-                                     std::size_t count) {
+std::vector<Response> read_responses(net::Stream& conn, std::size_t count) {
   std::vector<Response> out;
   ResponseParser parser;
   std::array<std::uint8_t, 8192> buf;
@@ -208,8 +211,7 @@ TEST(ServerConcurrency, ManyKeepAliveConnectionsInParallel) {
 ServerOptions inline_options(
     std::function<std::string(const Request&)> cost_key) {
   ServerOptions options;
-  options.dispatch.inline_dispatch = true;
-  options.dispatch.cost_key = std::move(cost_key);
+  options.cost_key = std::move(cost_key);
   return options;
 }
 
@@ -265,9 +267,7 @@ TEST(ServerInlineDispatch, PipelinedMixOfInlineAndSpilledStaysOrdered) {
 
 TEST(ServerInlineDispatch, MeasuredSlowMethodsStopBeingInlined) {
   ServerOptions options;
-  options.dispatch.inline_dispatch = true;
-  options.dispatch.inline_cost_limit_us = 500.0;
-  options.dispatch.cost_key = [](const Request&) { return "slow.method"; };
+  options.cost_key = [](const Request&) { return "slow.method"; };
   Server server(std::move(options), [](const Request& request, const Peer&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     return Response::make(200, "echo:" + request.body);
@@ -288,10 +288,8 @@ TEST(ServerInlineDispatch, MeasuredSlowMethodsStopBeingInlined) {
 }
 
 TEST(ServerInlineDispatch, DisabledMeansEveryRequestTakesAWorker) {
-  ServerOptions options =
-      inline_options([](const Request&) { return "cheap"; });
-  options.dispatch.inline_dispatch = false;
-  Server server = make_echo_server(std::move(options));
+  // No cost key = inline dispatch off.
+  Server server = make_echo_server();
   server.start();
   net::TcpConnection conn =
       net::TcpConnection::connect("127.0.0.1", server.port());
@@ -303,6 +301,79 @@ TEST(ServerInlineDispatch, DisabledMeansEveryRequestTakesAWorker) {
   EXPECT_EQ(server.requests_inlined(), 0u);
   server.stop();
 }
+
+// --- Malformed-stream refusal --------------------------------------------
+//
+// A stream that turns to garbage gets its valid requests answered in
+// order, then one best-effort 400, then EOF — whichever drainer (the
+// reactor inline, or a pool worker) finishes the connection, and over
+// TLS as well as plaintext.
+
+enum class Served { Inline, Worker, GarbageAlone };
+
+struct RefusalCase {
+  bool tls;
+  Served served;
+};
+
+class ServerMalformedRefusal : public ::testing::TestWithParam<RefusalCase> {};
+
+TEST_P(ServerMalformedRefusal, ValidResponseThen400ThenEof) {
+  const RefusalCase param = GetParam();
+  const clarens::testing::TestPki& pki = clarens::testing::TestPki::instance();
+  ServerOptions options;
+  if (param.tls) {
+    tls::TlsConfig tls;
+    tls.credential = pki.server;
+    tls.trust = &pki.trust;
+    options.tls = std::move(tls);
+  }
+  if (param.served == Served::Inline) {
+    options.cost_key = [](const Request&) { return std::string("cheap"); };
+  }
+  Server server = make_echo_server(std::move(options));
+  server.start();
+
+  std::unique_ptr<net::Stream> conn = std::make_unique<net::TcpConnection>(
+      net::TcpConnection::connect("127.0.0.1", server.port()));
+  if (param.tls) {
+    tls::TlsConfig client;
+    client.trust = &pki.trust;
+    conn = tls::SecureChannel::connect(std::move(conn), client);
+  }
+  bool has_valid = param.served != Served::GarbageAlone;
+  conn->write_all((has_valid ? post("valid") : "") + "GARBAGE\r\n\r\n");
+
+  std::size_t expected = has_valid ? 2 : 1;
+  std::vector<Response> responses = read_responses(*conn, expected);
+  ASSERT_EQ(responses.size(), expected);
+  if (has_valid) {
+    EXPECT_EQ(responses[0].status, 200);
+    EXPECT_EQ(responses[0].body, "echo:valid");
+  }
+  EXPECT_EQ(responses.back().status, 400);
+  std::array<std::uint8_t, 64> buf;
+  EXPECT_EQ(conn->read(buf), 0u);
+  EXPECT_EQ(server.requests_served(), has_valid ? 1u : 0u);
+  EXPECT_EQ(server.requests_inlined(),
+            param.served == Served::Inline ? 1u : 0u);
+  server.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, ServerMalformedRefusal,
+    ::testing::Values(RefusalCase{false, Served::Inline},
+                      RefusalCase{false, Served::Worker},
+                      RefusalCase{false, Served::GarbageAlone},
+                      RefusalCase{true, Served::Inline},
+                      RefusalCase{true, Served::Worker},
+                      RefusalCase{true, Served::GarbageAlone}),
+    [](const ::testing::TestParamInfo<RefusalCase>& info) {
+      const char* served = info.param.served == Served::Inline   ? "Inline"
+                           : info.param.served == Served::Worker ? "Worker"
+                                                                 : "GarbageAlone";
+      return std::string(info.param.tls ? "Tls" : "Plain") + served;
+    });
 
 TEST(ServerStop, ReturnsPromptlyWithIdleConnectionOpen) {
   Server server = make_echo_server();

@@ -260,16 +260,6 @@ TEST(Server, HandlerExceptionBecomes500) {
   server.stop();
 }
 
-TEST(Server, MalformedRequestGets400) {
-  Server server({}, [](const Request&, const Peer&) {
-    return Response::make(200, "ok");
-  });
-  server.start();
-  std::string reply = raw_roundtrip(server.port(), "GARBAGE\r\n\r\n");
-  EXPECT_NE(reply.find("400"), std::string::npos);
-  server.stop();
-}
-
 TEST(Server, SendfileServesFileRegion) {
   TempDir tmp;
   std::string path = tmp.path() + "/payload.bin";

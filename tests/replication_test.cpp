@@ -2,23 +2,29 @@
 // FileLayout encode/decode, the LayoutTable over db::Store, the
 // FaultInjector switchboard, the client RetryPolicy schedule, and the
 // Replicator's event intake / suspect tracking without its worker
-// thread (cluster behavior is covered by federation_cluster_test).
+// thread, and the periodic fsck scrub on a small live cluster (the full
+// fault pass is covered by federation_cluster_test).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "client/routed.hpp"
+#include "core/server.hpp"
 #include "db/store.hpp"
 #include "discovery/discovery_server.hpp"
+#include "discovery/station.hpp"
 #include "federation/layout.hpp"
 #include "federation/replicator.hpp"
 #include "federation/router.hpp"
+#include "test_fixtures.hpp"
 #include "util/fault.hpp"
 
 namespace clarens {
@@ -462,6 +468,104 @@ TEST_F(ReplicatorTest, StartStopIdempotentAndStopWithoutStartIsSafe) {
     replicator.stop();
     replicator.stop();
   }  // destructor after stop must not hang
+}
+
+// ---------------------------------------------------------------------------
+// Periodic scrub (fsck_interval_ms > 0): a head over two storage nodes at
+// placement_replicas=2. A bit flipped in one replica on disk is found and
+// repaired by the worker's own scrub; nobody calls replica.fsck.
+
+std::string disk_bytes(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Poll until `predicate` holds or ~15 s elapse (sanitizer headroom).
+template <typename F>
+bool eventually(F predicate) {
+  for (int i = 0; i < 750; ++i) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return predicate();
+}
+
+TEST(PeriodicScrub, RepairsABitFlippedReplicaWithoutAnFsckCall) {
+  const testing::TestPki& pki = testing::TestPki::instance();
+  testing::TempDir tmp;
+  discovery::StationServer station;
+  db::Store discovery_store;
+  discovery::DiscoveryServer discovery(discovery_store, /*record_ttl=*/5);
+  discovery.subscribe("127.0.0.1", station.port());
+
+  auto config = [&](const std::string& node, core::NodeRole role,
+                    const std::string& root, const std::string& head_url) {
+    core::ClarensConfig c;
+    c.trust = pki.trust;
+    c.default_allow = true;  // ACLs are not under test here
+    c.farm = "scrubfarm";
+    c.node = node;
+    c.node_role = role;
+    c.node_ticket_secret = "periodic-scrub-secret";
+    c.head_url = head_url;
+    c.station = {{"127.0.0.1", station.port()}};
+    c.publish_interval_ms = 100;
+    c.federation_refresh_ms = 100;
+    if (!root.empty()) c.file_roots = {{"/data", root}};
+    return c;
+  };
+
+  core::ClarensConfig head_config = config("head", core::NodeRole::Head, "", "");
+  head_config.placement_replicas = 2;
+  head_config.fsck_interval_ms = 100;
+  core::ClarensServer head(std::move(head_config));
+  head.attach_discovery(discovery);
+  head.start();
+  const std::array<std::string, 2> dirs = {tmp.sub("fst1"), tmp.sub("fst2")};
+  core::ClarensServer fst1(
+      config("fst1", core::NodeRole::Storage, dirs[0], head.url()));
+  core::ClarensServer fst2(
+      config("fst2", core::NodeRole::Storage, dirs[1], head.url()));
+  fst1.start();
+  fst2.start();
+  ASSERT_TRUE(eventually(
+      [&] { return head.router()->storage_nodes().size() == 2; }));
+
+  client::ClientOptions base;
+  base.credential = pki.alice;
+  base.trust = &pki.trust;
+  client::RoutedClient client(head.url(), base);
+  client.authenticate();
+  const std::string path = "/data/run1/evt.bin";
+  const std::string payload(4096, 'e');
+  client.call("file.mkdir", {rpc::Value(std::string("/data/run1"))});
+  ASSERT_TRUE(
+      client.call("file.write", {rpc::Value(path), rpc::Value(payload)})
+          .as_bool());
+  ASSERT_TRUE(eventually([&] {
+    auto layout = head.layouts()->get(path);
+    return layout && layout->confirmed &&
+           layout->count(federation::ReplicaState::Healthy) == 2;
+  })) << "the write never reached two healthy replicas";
+  for (const std::string& dir : dirs) {
+    ASSERT_EQ(disk_bytes(dir + "/run1/evt.bin"), payload);
+  }
+
+  const std::string rotten = dirs[0] + "/run1/evt.bin";
+  std::uint64_t runs_before = head.replicator()->stats().fsck_runs;
+  ASSERT_TRUE(util::FaultInjector::bit_flip(rotten, 7, 0x20));
+  ASSERT_NE(disk_bytes(rotten), payload);
+  // A scrub counts itself only once its pass is over, after the repair.
+  EXPECT_TRUE(eventually([&] {
+    return disk_bytes(rotten) == payload &&
+           head.replicator()->stats().fsck_runs > runs_before;
+  })) << "the periodic scrub never repaired the flipped replica";
+  EXPECT_EQ(disk_bytes(dirs[1] + "/run1/evt.bin"), payload);
+
+  fst1.stop();
+  fst2.stop();
+  head.stop();
 }
 
 }  // namespace

@@ -67,6 +67,25 @@ TEST(ServerIntegration, ChallengeAuthAndBasicCalls) {
   server.stop();
 }
 
+TEST(ServerIntegration, InlineDispatchOffRunsEveryCallOnAWorker) {
+  // Off leaves the reactor no cost key, so even the cheap echo.echo
+  // calls take the worker handoff.
+  const TestPki& pki = TestPki::instance();
+  core::ClarensConfig config = base_config(pki);
+  config.inline_dispatch = false;
+  core::ClarensServer server(std::move(config));
+  server.start();
+  client::ClarensClient client(client_options(pki, pki.bob, server.port()));
+  client.connect();
+  client.authenticate();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(client.call("echo.echo", {rpc::Value("x")}).as_string(), "x");
+  }
+  EXPECT_GE(server.requests_served(), 20u);
+  EXPECT_EQ(server.requests_inlined(), 0u);
+  server.stop();
+}
+
 TEST(ServerIntegration, UnauthenticatedCallsAreRejected) {
   const TestPki& pki = TestPki::instance();
   core::ClarensServer server(base_config(pki));

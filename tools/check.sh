@@ -21,6 +21,10 @@
 #             (plain release compiles the hook sites out)
 #   tidy      clang -Wthread-safety over the annotated lock layer
 #             (compile only; skipped when clang++ is not installed)
+#   bench     perfbench/run.py --self-check: builds the benchmark from
+#             src/ (into .bench_build/) and runs every workload briefly,
+#             end to end and traced — the suites above never compile
+#             perfbench/, so a src/ change that breaks it shows up here
 #
 # Usage: tools/check.sh [leg...]     (default: all legs)
 # Environment: JOBS=N parallelism (default: nproc).
@@ -123,12 +127,23 @@ leg_tidy() {
   fi
 }
 
+leg_bench() {
+  local log="$LOG_DIR/bench.log"
+  note "bench: perfbench self-check (build + every workload, briefly)"
+  if python3 perfbench/run.py --self-check >"$log" 2>&1; then
+    record PASS bench
+  else
+    record FAIL bench "(log: $log)"
+  fi
+}
+
 LEGS=("$@")
-[ ${#LEGS[@]} -eq 0 ] && LEGS=(release lint asan ubsan tsan lockrank cluster tidy)
+[ ${#LEGS[@]} -eq 0 ] &&
+  LEGS=(release lint asan ubsan tsan lockrank cluster tidy bench)
 
 for leg in "${LEGS[@]}"; do
   case "$leg" in
-    release|lint|asan|ubsan|tsan|lockrank|cluster|tidy) "leg_$leg" ;;
+    release|lint|asan|ubsan|tsan|lockrank|cluster|tidy|bench) "leg_$leg" ;;
     *) record FAIL "$leg" "(unknown leg)" ;;
   esac
 done

@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
     core::Transfer done = dest.transfers().wait(
         id, pki.user.certificate.subject(), 600000);
     double seconds = timer.seconds();
-    if (done.state == core::TransferState::Done) {
+    if (done.state == core::RequestState::Done) {
       double mbps = static_cast<double>(done.bytes) / (1 << 20) / seconds;
       std::printf("%-26s %-12.0f %-12.2f\n",
                   "server-to-server transfer", mbps, mbps * 8 / 1024);

@@ -75,6 +75,7 @@ class HeavyGridServer {
   util::CondVar all_done_;
   std::map<std::uint64_t, util::Thread> conn_threads_
       CLARENS_GUARDED_BY(mutex_);
+  // clarens-lint: allow(thread-pool): GT3's thread-per-connection model
   std::vector<util::Thread> finished_ CLARENS_GUARDED_BY(mutex_);
   std::uint64_t conn_seq_ CLARENS_GUARDED_BY(mutex_) = 0;
 };

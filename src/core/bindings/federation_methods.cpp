@@ -98,30 +98,15 @@ std::vector<rpc::Value> fan_out_collect(federation::Router& router,
   return results;
 }
 
-/// Node to serve a read of `path`. With a replicator attached (head with
-/// replication wired up) the layout table drives the choice — healthy,
-/// live, non-suspect replicas first — so reads keep succeeding while a
-/// node is down. Without one, fall back to plain ring routing.
-std::optional<federation::NodeInfo> pick_read(ClarensServer& server,
-                                              federation::Router& router,
-                                              const std::string& path) {
-  if (federation::Replicator* rep = server.replicator()) {
-    return rep->pick_read_node(path);
-  }
-  return router.route(path);
-}
-
 /// Record the intent of a write/append redirect in the layout table
 /// before the client ever reaches the storage node: the replicator now
 /// expects a commit for `path` on `primary` and treats every other
 /// replica as stale.
 void note_write(ClarensServer& server, const rpc::CallContext& context,
                 const std::string& path, const federation::NodeInfo& primary) {
-  if (federation::Replicator* rep = server.replicator()) {
-    rep->note_write(path, primary.id,
-                    {context.identity, context.via_proxy,
-                     context.proxy_serial});
-  }
+  server.replicator()->note_write(
+      path, primary.id,
+      {context.identity, context.via_proxy, context.proxy_serial});
 }
 
 }  // namespace
@@ -137,7 +122,7 @@ void register_federation_methods(ClarensServer& server,
       "file.read",
       [s, r, files](const rpc::CallContext& context, const std::string& path,
                     std::int64_t offset, std::int64_t length) -> rpc::Value {
-        if (auto owner = pick_read(*s, *r, path)) {
+        if (auto owner = s->replicator()->pick_read_node(path)) {
           check_file_access(*s, context, path, /*write=*/false);
           return redirect_to(*r, context, *owner, path, /*write=*/false)
               .to_value();
@@ -207,9 +192,7 @@ void register_federation_methods(ClarensServer& server,
           check_file_access(*s, context, path, /*write=*/true);
           // The client removes the primary copy; the replicator purges
           // the other replicas and the layout rows underneath `path`.
-          if (federation::Replicator* rep = s->replicator()) {
-            rep->note_remove(path);
-          }
+          s->replicator()->note_remove(path);
           return redirect_to(*r, context, *owner, path, /*write=*/true)
               .to_value();
         }
@@ -231,7 +214,7 @@ void register_federation_methods(ClarensServer& server,
         [s, r, files, method](const rpc::CallContext& context,
                               const std::string& path) -> rpc::Value {
           std::vector<rpc::Value> params = {rpc::Value(path)};
-          if (auto owner = pick_read(*s, *r, path)) {
+          if (auto owner = s->replicator()->pick_read_node(path)) {
             check_file_access(*s, context, path, /*write=*/false);
             std::string ticket =
                 mint(*r, context, r->prefix_of(path), /*write=*/false);
@@ -240,9 +223,7 @@ void register_federation_methods(ClarensServer& server,
             } catch (const SystemError&) {
               // The node did not answer; mark it suspect so the client's
               // retry of this call lands on a healthy replica.
-              if (federation::Replicator* rep = s->replicator()) {
-                rep->report_failure(owner->url);
-              }
+              s->replicator()->report_failure(owner->url);
               throw;
             }
           }

@@ -3,47 +3,39 @@
 // Service workflows).
 //
 // Jobs are shell-service command lines executed asynchronously in the
-// submitter's sandbox by a small worker pool. Job records (state, exit
-// code, captured output) live in the database, so a submitter can
-// disconnect and query results later — the same survive-restart property
-// sessions have. States: QUEUED -> RUNNING -> DONE | FAILED; CANCELLED
-// is reachable from QUEUED only (the restricted interpreter runs
-// commands to completion).
+// submitter's sandbox. The request table (core/request_table.hpp) keeps
+// the job records in the database and runs them on a small worker pool,
+// so a submitter can disconnect and query results later, and jobs a
+// dead server left queued or running run again after a restart. The
+// restricted interpreter runs commands to completion, so only a queued
+// job can be cancelled.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "core/request_table.hpp"
 #include "core/shell_service.hpp"
 #include "db/store.hpp"
 #include "pki/dn.hpp"
-#include "util/sync.hpp"
 
 namespace clarens::core {
 
-enum class JobState { Queued, Running, Done, Failed, Cancelled };
+struct Job : Request {
+  static constexpr const char* kTable = "jobs";
+  static constexpr const char* kNoun = "job";
 
-const char* to_string(JobState state);
-
-struct Job {
-  std::string id;
-  std::string owner;  // DN string
   std::string command;
-  JobState state = JobState::Queued;
   int exit_code = 0;
-  std::string output;        // stdout
-  std::string error;         // stderr
-  std::int64_t submitted = 0;
-  std::int64_t finished = 0;  // 0 while not terminal
+  std::string output;  // stdout; Request::error holds stderr
+
+  void encode(rpc::Value& row) const;
+  void decode(const rpc::Value& row);
 };
 
 class JobService {
  public:
   JobService(db::Store& store, ShellService& shell, int workers = 2);
-  ~JobService();
 
   JobService(const JobService&) = delete;
   JobService& operator=(const JobService&) = delete;
@@ -55,36 +47,36 @@ class JobService {
 
   /// Job record; only the owner may query it (AccessError otherwise).
   Job status(const std::string& job_id,
-             const pki::DistinguishedName& who) const;
+             const pki::DistinguishedName& who) const {
+    return jobs_.status(job_id, who);
+  }
 
-  /// All job ids of an owner, newest first.
-  std::vector<Job> list(const pki::DistinguishedName& owner) const;
+  /// All jobs of an owner, newest first.
+  std::vector<Job> list(const pki::DistinguishedName& owner) const {
+    return jobs_.list(owner);
+  }
 
   /// Cancel a queued job; returns false when it already started.
-  bool cancel(const std::string& job_id, const pki::DistinguishedName& who);
+  bool cancel(const std::string& job_id, const pki::DistinguishedName& who) {
+    return jobs_.cancel(job_id, who);
+  }
 
   /// Remove a terminal job record.
-  void purge(const std::string& job_id, const pki::DistinguishedName& who);
+  void purge(const std::string& job_id, const pki::DistinguishedName& who) {
+    jobs_.purge(job_id, who);
+  }
 
   /// Block until the job reaches a terminal state (test convenience).
   Job wait(const std::string& job_id, const pki::DistinguishedName& who,
-           int timeout_ms = 10000);
+           int timeout_ms = 10000) {
+    return jobs_.wait(job_id, who, timeout_ms);
+  }
 
  private:
-  void worker_loop();
-  void save(const Job& job);
-  Job load(const std::string& job_id) const;  // throws NotFoundError
+  void execute(Job& job);
 
-  db::Store& store_;
   ShellService& shell_;
-  /// Held across store reads/writes of job records (atomic state
-  /// transitions): hierarchy `core.job` -> `db.store.shard`.
-  mutable util::Mutex mutex_{util::LockLevel::kCoreJob};
-  util::CondVar work_available_;
-  util::CondVar state_changed_;
-  std::deque<std::string> queue_ CLARENS_GUARDED_BY(mutex_);
-  bool stopping_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::vector<util::Thread> workers_;  // written once in the constructor
+  RequestTable<Job> jobs_;  // last: its workers join before shell_ goes
 };
 
 }  // namespace clarens::core

@@ -633,8 +633,7 @@ http::Response ClarensServer::handle_get(const http::Request& request,
     // that a client reported unreachable is skipped, so GETs keep
     // succeeding while the repair engine restores replication.
     std::optional<federation::NodeInfo> owner =
-        replicator_ ? replicator_->pick_read_node(path)
-                    : router_->route(path);
+        replicator_->pick_read_node(path);
     if (owner) {
       if (!acl_->check_file_read(path, identity) &&
           !vo_->is_root_admin(identity)) {

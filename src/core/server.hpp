@@ -209,11 +209,11 @@ class ClarensServer {
   db::Store& store() { return *store_; }
   const ClarensConfig& config() const { return config_; }
   NodeRole role() const { return config_.node_role; }
-  /// Head-side placement router; null on standalone/storage roles and on
-  /// heads with no discovery attached.
+  /// Head-side placement router, layout table and repair engine:
+  /// attach_discovery() builds all three on a head, so they are either
+  /// all set or all null (standalone/storage roles, heads with no
+  /// discovery attached).
   federation::Router* router() { return router_.get(); }
-  /// Head-side layout table / repair engine; null unless this is a head
-  /// with discovery attached.
   federation::LayoutTable* layouts() { return layouts_.get(); }
   federation::Replicator* replicator() { return replicator_.get(); }
 

@@ -10,42 +10,38 @@
 // the user's identity: the source checks read access, the destination
 // checks write access.
 //
-// Robustness: DB-backed transfer records (survive restarts, orphans
-// re-queue), chunked streaming in bounded memory, and post-transfer MD5
-// verification against the source's file.md5().
+// Robustness: DB-backed transfer records (core/request_table.hpp),
+// chunked streaming in bounded memory, and post-transfer MD5
+// verification against the source's file.md5(). The delegated
+// credential is held in memory only, so a transfer that a restart
+// interrupted fails and must be resubmitted.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/file_service.hpp"
 #include "core/proxy_service.hpp"
+#include "core/request_table.hpp"
 #include "db/store.hpp"
-#include "util/sync.hpp"
 
 namespace clarens::core {
 
-enum class TransferState { Queued, Running, Done, Failed, Cancelled };
+struct Transfer : Request {
+  static constexpr const char* kTable = "transfers";
+  static constexpr const char* kNoun = "transfer";
 
-const char* to_string(TransferState state);
-
-struct Transfer {
-  std::string id;
-  std::string owner;  // DN string (the delegated identity)
   std::string source_host;
   std::uint16_t source_port = 0;
   bool source_tls = false;
   std::string source_path;
   std::string dest_path;
-  TransferState state = TransferState::Queued;
   std::int64_t bytes = 0;
   bool verified = false;  // md5 matched after completion
-  std::string error;
-  std::int64_t submitted = 0;
-  std::int64_t finished = 0;
+
+  void encode(rpc::Value& row) const;
+  void decode(const rpc::Value& row);
 };
 
 class TransferService {
@@ -54,7 +50,6 @@ class TransferService {
   /// (destination) file service; `trust` verifies the remote server.
   TransferService(db::Store& store, FileService& files, ProxyService& proxies,
                   const pki::TrustStore& trust, int workers = 2);
-  ~TransferService();
 
   TransferService(const TransferService&) = delete;
   TransferService& operator=(const TransferService&) = delete;
@@ -69,47 +64,34 @@ class TransferService {
                     const std::string& proxy_password);
 
   Transfer status(const std::string& transfer_id,
-                  const pki::DistinguishedName& who) const;
+                  const pki::DistinguishedName& who) const {
+    return transfers_.status(transfer_id, who);
+  }
 
-  std::vector<Transfer> list(const pki::DistinguishedName& owner) const;
+  std::vector<Transfer> list(const pki::DistinguishedName& owner) const {
+    return transfers_.list(owner);
+  }
 
   bool cancel(const std::string& transfer_id,
-              const pki::DistinguishedName& who);
+              const pki::DistinguishedName& who) {
+    return transfers_.cancel(transfer_id, who);
+  }
 
   Transfer wait(const std::string& transfer_id,
-                const pki::DistinguishedName& who, int timeout_ms = 30000);
+                const pki::DistinguishedName& who, int timeout_ms = 30000) {
+    return transfers_.wait(transfer_id, who, timeout_ms);
+  }
 
   /// Streaming block size (bytes) for file.read pulls.
   static constexpr std::int64_t kBlockSize = 1 << 20;
 
  private:
-  void worker_loop();
-  void run_transfer(const std::string& transfer_id);
-  void save(const Transfer& transfer);
-  Transfer load(const std::string& transfer_id) const;
+  void pull(Transfer& transfer, const ProxyService::StoredProxy& credential);
 
-  db::Store& store_;
   FileService& files_;
   ProxyService& proxies_;
   const pki::TrustStore& trust_;
-
-  /// Held across store reads/writes of transfer records: hierarchy
-  /// `core.transfer` -> `db.store.shard`.
-  mutable util::Mutex mutex_{util::LockLevel::kCoreTransfer};
-  util::CondVar work_available_;
-  util::CondVar state_changed_;
-  std::deque<std::string> queue_ CLARENS_GUARDED_BY(mutex_);
-  /// Retrieved proxy credentials for queued transfers, keyed by id —
-  /// kept in memory only (never persisted; passwords are not retained).
-  std::map<std::string, ProxyService::StoredProxy> credentials_
-      CLARENS_GUARDED_BY(mutex_);
-  bool stopping_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::vector<util::Thread> workers_;  // written once in the constructor
+  RequestTable<Transfer> transfers_;  // last: its workers join first
 };
-
-/// Parse "http://host:port" / "https://host:port" into (host, port, tls).
-/// Throws clarens::ParseError.
-void parse_server_url(const std::string& url, std::string& host,
-                      std::uint16_t& port, bool& tls);
 
 }  // namespace clarens::core

@@ -2,9 +2,11 @@
 // engine.
 //
 // The paper stores VO membership, ACLs and session state in a server-side
-// database: every request performs (uncached) session and ACL lookups
-// against it, and sessions survive server restarts because they live here
-// rather than in process memory. This module is that database: named
+// database: every request's session and ACL checks are answered from it,
+// and sessions survive server restarts because they live here rather than
+// in process memory. Here the checks hit write-through caches in
+// SessionManager and AclManager, and this store stays the source of truth
+// behind them. This module is that database: named
 // tables of string key → string value, durable via an append-only journal
 // plus snapshot compaction, recoverable after a crash that tears the
 // final journal record.

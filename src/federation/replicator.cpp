@@ -1,7 +1,9 @@
 #include "federation/replicator.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "client/routed.hpp"
 #include "rpc/fault.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -12,12 +14,11 @@ namespace {
 
 std::chrono::milliseconds ms(int n) { return std::chrono::milliseconds(n); }
 
-/// Attempts per queued task before it is parked.
-constexpr int kRetryMax = 8;
-/// First retry delay; doubles per attempt up to kRetryMaxMs, with +-25%
-/// jitter so a cluster-wide event does not retry in lockstep.
-constexpr int kRetryBaseMs = 100;
-constexpr int kRetryMaxMs = 5000;
+/// Retry schedule of a queued task: 100 ms doubling to 5 s with +-25%
+/// jitter, so a cluster-wide event does not retry in lockstep; parked
+/// after max_attempts.
+constexpr client::RetryPolicy kRetry{
+    .max_attempts = 8, .base_ms = 100, .max_ms = 5000};
 
 /// "/data/run1/evt.bin" -> "/data/run1"; "/evt.bin" -> "/". The ticket
 /// scope for a copy: covers the file and the mkdir of its parent.
@@ -44,7 +45,10 @@ std::pair<std::string, std::int64_t> checksum_of(const rpc::Value& reply) {
 
 Replicator::Replicator(Router& router, LayoutTable& layouts,
                        ReplicatorOptions options)
-    : router_(router), layouts_(layouts), options_(options) {}
+    : router_(router),
+      layouts_(layouts),
+      options_(options),
+      jitter_state_(kRetry.seed) {}
 
 Replicator::~Replicator() { stop(); }
 
@@ -100,41 +104,13 @@ void Replicator::note_write(const std::string& path,
     return true;
   });
   // Give the redirected client a beat to actually write before polling.
-  enqueue(Task::Kind::Replicate, path, kRetryBaseMs);
+  enqueue(Task::Kind::Replicate, path, kRetry.base_ms);
 }
-
-struct Replicator::InflightMark {
-  Replicator& self;
-  std::pair<std::string, std::string> key;  // (path, target node id)
-
-  InflightMark(Replicator& replicator, const std::string& path,
-               const std::string& node_id)
-      : self(replicator), key(path, node_id) {
-    util::LockGuard lock(self.mutex_);
-    self.inflight_.insert(key);
-  }
-  ~InflightMark() {
-    util::LockGuard lock(self.mutex_);
-    auto it = self.inflight_.find(key);
-    if (it != self.inflight_.end()) self.inflight_.erase(it);
-  }
-  InflightMark(const InflightMark&) = delete;
-  InflightMark& operator=(const InflightMark&) = delete;
-};
 
 void Replicator::note_commit(const std::string& path,
                              const std::string& node_id,
                              const std::string& checksum, std::int64_t size,
                              const WriterIdentity& who) {
-  {
-    // Our own copy landing on (path, node): the chunked write/append
-    // notifications carry partial-content hashes, not a client
-    // overwrite. copy_replica verifies the finished copy end to end and
-    // run_replicate marks it healthy; adopting a chunk hash here would
-    // demote the healthy source instead.
-    util::LockGuard lock(mutex_);
-    if (inflight_.count({path, node_id}) > 0) return;
-  }
   layouts_.update(path, [&](FileLayout& layout) {
     if (layout.replicas.empty()) {
       // Direct ticketed write we never saw a redirect for: adopt it.
@@ -406,38 +382,21 @@ void Replicator::execute(Task task) {
     ++stats_.completed;
     return;
   }
-  if (++task.attempt >= kRetryMax) {
+  if (++task.attempt >= kRetry.max_attempts) {
     ++stats_.parked;
     CLARENS_LOG(Warn) << "replicator: parking " << task.path << " after "
                       << task.attempt << " attempts: " << error;
     return;
   }
   ++stats_.retried;
-  task.not_before = Clock::now() + ms(backoff_ms_locked(task.attempt));
+  task.not_before =
+      Clock::now() + ms(kRetry.delay_ms(task.attempt, jitter_state_));
   // Re-insert through the same dedup as enqueue(): a fresh event for the
   // path may already be queued.
   for (Task& queued : queue_) {
     if (queued.kind == task.kind && queued.path == task.path) return;
   }
   queue_.push_back(std::move(task));
-}
-
-int Replicator::backoff_ms_locked(int attempt) {
-  std::int64_t delay = kRetryBaseMs;
-  for (int i = 1; i < attempt && delay < kRetryMaxMs; ++i) {
-    delay *= 2;
-  }
-  delay = std::min<std::int64_t>(delay, kRetryMaxMs);
-  // xorshift64; +-25% jitter so a cluster event does not retry in phase.
-  rand_state_ ^= rand_state_ << 13;
-  rand_state_ ^= rand_state_ >> 7;
-  rand_state_ ^= rand_state_ << 17;
-  std::int64_t half_band = delay / 4;
-  if (half_band > 0) {
-    delay += static_cast<std::int64_t>(rand_state_ % (2 * half_band + 1)) -
-             half_band;
-  }
-  return static_cast<int>(std::max<std::int64_t>(1, delay));
 }
 
 void Replicator::expire_suspects_locked(Clock::time_point now) {
@@ -708,7 +667,6 @@ bool Replicator::run_replicate(const std::string& path, int* copies_out,
 bool Replicator::copy_replica(const FileLayout& layout, const NodeInfo& source,
                               const NodeInfo& target, std::string* error_out) {
   const std::string& path = layout.path;
-  InflightMark inflight(*this, path, target.id);
   try {
     std::string parent = parent_of(path);
     if (parent != "/") {

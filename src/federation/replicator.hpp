@@ -13,9 +13,12 @@
 //     keep-alive peer pools: copy chunks from a healthy replica
 //     (file.read), land them on the target (file.write + file.append),
 //     then verify with file.checksum before marking the replica healthy.
-//     Failures retry with capped exponential backoff + jitter; after
-//     kRetryMax attempts the task is parked (the periodic
-//     under-replication sweep and the fsck scrub pick it up again).
+//     Failures retry on the client::RetryPolicy schedule (capped
+//     exponential backoff + jitter); after its max_attempts the task is
+//     parked (the periodic under-replication sweep and the fsck scrub
+//     pick it up again). Every repair call is marked as replication
+//     traffic, so storage nodes send no replica.committed for a copy's
+//     own chunks (docs/FEDERATION.md).
 //   * A membership tick watches Router::storage_nodes(): a node gone for
 //     longer than the grace period has its replicas marked missing and
 //     every affected file re-replicated elsewhere; a (re)joining node
@@ -48,7 +51,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "federation/layout.hpp"
@@ -170,15 +172,6 @@ class Replicator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// RAII tag for a replica copy in flight toward (path, node): the
-  /// storage node notifies the head on every ticketed file.write/append,
-  /// so the copy's own chunks arrive as commit notifications carrying
-  /// partial-content hashes. note_commit drops notifications for tagged
-  /// pairs — otherwise each chunk would read as a client overwrite,
-  /// demote the healthy source to stale, and two replicas would re-copy
-  /// each other forever.
-  struct InflightMark;
-
   struct Task {
     enum class Kind { Replicate, Purge } kind = Kind::Replicate;
     std::string path;
@@ -211,7 +204,6 @@ class Replicator {
                        std::vector<rpc::Value> params, const FileLayout& layout,
                        bool write);
 
-  int backoff_ms_locked(int attempt) CLARENS_REQUIRES(mutex_);
   void expire_suspects_locked(Clock::time_point now) CLARENS_REQUIRES(mutex_);
 
   Router& router_;
@@ -229,10 +221,8 @@ class Replicator {
   std::map<std::string, Clock::time_point> suspects_ CLARENS_GUARDED_BY(
       mutex_);
   std::set<std::string> draining_ CLARENS_GUARDED_BY(mutex_);
-  std::multiset<std::pair<std::string, std::string>> inflight_
-      CLARENS_GUARDED_BY(mutex_);
   bool seeded_membership_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::uint64_t rand_state_ CLARENS_GUARDED_BY(mutex_) = 0x9e3779b97f4a7c15ull;
+  std::uint64_t jitter_state_ CLARENS_GUARDED_BY(mutex_);
   ReplicatorStats stats_ CLARENS_GUARDED_BY(mutex_);
 
   util::Thread worker_;

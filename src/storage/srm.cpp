@@ -1,5 +1,6 @@
 #include "storage/srm.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "crypto/random.hpp"
@@ -19,21 +20,9 @@ const char* to_string(SrmState state) {
   return "?";
 }
 
-SrmService::SrmService(MassStorage& storage, int workers) : storage_(storage) {
-  if (workers < 1) workers = 1;
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-SrmService::~SrmService() {
-  {
-    util::LockGuard lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
+SrmService::SrmService(MassStorage& storage, int workers)
+    : storage_(storage),
+      pool_(static_cast<std::size_t>(std::max(workers, 1))) {}
 
 std::string SrmService::prepare_to_get(const std::string& logical_path) {
   SrmRequest request;
@@ -43,56 +32,42 @@ std::string SrmService::prepare_to_get(const std::string& logical_path) {
   {
     util::LockGuard lock(mutex_);
     requests_[request.token] = request;
-    queue_.push_back(request.token);
   }
-  work_available_.notify_one();
+  pool_.submit([this, token = request.token] { stage(token); });
   return request.token;
 }
 
-void SrmService::worker_loop() {
-  for (;;) {
-    std::string token;
-    {
-      util::UniqueLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_available_.wait(lock);
-      if (stopping_) return;
-      token = queue_.front();
-      queue_.pop_front();
-      auto it = requests_.find(token);
-      if (it == requests_.end()) continue;
-      it->second.state = SrmState::Staging;
-    }
-    state_changed_.notify_all();
-
-    // The staging copy (and its simulated tape latency) runs unlocked.
-    std::string logical_path;
-    {
-      util::LockGuard lock(mutex_);
-      logical_path = requests_[token].logical_path;
-    }
-    std::string cache_file;
-    std::string error;
-    try {
-      cache_file = storage_.stage_and_pin(logical_path);
-    } catch (const Error& e) {
-      error = e.what();
-    }
-
-    {
-      util::LockGuard lock(mutex_);
-      auto it = requests_.find(token);
-      if (it != requests_.end()) {
-        if (error.empty()) {
-          it->second.state = SrmState::Ready;
-          it->second.cache_file = cache_file;
-        } else {
-          it->second.state = SrmState::Failed;
-          it->second.error = error;
-        }
-      }
-    }
-    state_changed_.notify_all();
+void SrmService::stage(const std::string& token) {
+  std::string logical_path;
+  {
+    util::LockGuard lock(mutex_);
+    SrmRequest& request = requests_.at(token);
+    request.state = SrmState::Staging;
+    logical_path = request.logical_path;
   }
+  state_changed_.notify_all();
+
+  // The staging copy (and its simulated tape latency) runs unlocked.
+  std::string cache_file;
+  std::string error;
+  try {
+    cache_file = storage_.stage_and_pin(logical_path);
+  } catch (const Error& e) {
+    error = e.what();
+  }
+
+  {
+    util::LockGuard lock(mutex_);
+    SrmRequest& request = requests_.at(token);
+    if (error.empty()) {
+      request.state = SrmState::Ready;
+      request.cache_file = cache_file;
+    } else {
+      request.state = SrmState::Failed;
+      request.error = error;
+    }
+  }
+  state_changed_.notify_all();
 }
 
 SrmRequest SrmService::status(const std::string& token) const {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -22,6 +21,7 @@
 
 #include "storage/mass_storage.hpp"
 #include "util/sync.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clarens::storage {
 
@@ -42,7 +42,6 @@ class SrmService {
  public:
   /// `workers`: concurrent staging streams (tape drives).
   explicit SrmService(MassStorage& storage, int workers = 2);
-  ~SrmService();
 
   SrmService(const SrmService&) = delete;
   SrmService& operator=(const SrmService&) = delete;
@@ -69,18 +68,15 @@ class SrmService {
   MassStorage& storage() { return storage_; }
 
  private:
-  void worker_loop();
+  void stage(const std::string& token);
 
   MassStorage& storage_;
   /// Request-table lock; never held across staging (`storage.mass`
   /// locking is independent — workers stage unlocked).
   mutable util::Mutex mutex_{util::LockLevel::kCoreSrm};
-  util::CondVar work_available_;
   util::CondVar state_changed_;
   std::map<std::string, SrmRequest> requests_ CLARENS_GUARDED_BY(mutex_);
-  std::deque<std::string> queue_ CLARENS_GUARDED_BY(mutex_);
-  bool stopping_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::vector<util::Thread> workers_;  // written once in the constructor
+  util::ThreadPool pool_;  // last: joins its workers before the rest goes
 };
 
 }  // namespace clarens::storage

@@ -18,7 +18,7 @@
 //
 // To add a level: pick the rank from the nesting it needs (what will be
 // held when it is acquired? what does it acquire while held?), add an
-// X() row below, and run `clarens_lint --print-lock-doc` to refresh the
+// X() row below, and run `clarens_lint --lock-table` to refresh the
 // docs table (the drift test tells you when you forget).
 #pragma once
 
@@ -34,11 +34,12 @@
   X(kBaselineHeavygrid, "baseline.heavygrid", 20,                             \
     "HeavyGrid per-connection thread table")                                  \
   X(kCoreAclShard, "core.acl.shard", 20, "compiled method-ACL cache shard")   \
-  X(kCoreJob, "core.job", 20, "job table + queue")                            \
   X(kCoreMessage, "core.message", 20, "mailbox table")                        \
+  X(kCoreRequest, "core.request", 20,                                         \
+    "job or transfer request table (one per service; held across record "    \
+    "writes)")                                                                \
   X(kCoreShell, "core.shell", 20, "shell session table")                      \
   X(kCoreSrm, "core.srm", 20, "SRM request table")                            \
-  X(kCoreTransfer, "core.transfer", 20, "transfer table + queue")             \
   X(kCoreVoRootCache, "core.vo.root_cache", 20,                               \
     "compiled root-admins cache (nests under core.vo.write via "             \
     "SameRankToken)")                                                         \

@@ -1,6 +1,7 @@
-// Fixed-size worker pool used by the HTTP server to execute request
-// handlers off the reactor thread (the analogue of Apache's worker
-// processes in the paper's architecture).
+// Fixed-size worker pool. The HTTP server runs request handlers on one
+// off the reactor thread (the analogue of Apache's worker processes in
+// the paper's architecture); the job, transfer and SRM services run
+// their queued requests on one each.
 #pragma once
 
 #include <deque>

@@ -48,7 +48,7 @@ struct JobFixture : ::testing::Test {
 TEST_F(JobFixture, SubmitRunsToCompletion) {
   std::string id = jobs.submit(dn(kJoeStr), "echo job ran");
   Job job = jobs.wait(id, dn(kJoeStr));
-  EXPECT_EQ(job.state, JobState::Done);
+  EXPECT_EQ(job.state, RequestState::Done);
   EXPECT_EQ(job.exit_code, 0);
   EXPECT_EQ(job.output, "job ran\n");
   EXPECT_GE(job.finished, job.submitted);
@@ -57,7 +57,7 @@ TEST_F(JobFixture, SubmitRunsToCompletion) {
 TEST_F(JobFixture, FailingCommandIsFailed) {
   std::string id = jobs.submit(dn(kJoeStr), "cat /no/such/file");
   Job job = jobs.wait(id, dn(kJoeStr));
-  EXPECT_EQ(job.state, JobState::Failed);
+  EXPECT_EQ(job.state, RequestState::Failed);
   EXPECT_NE(job.exit_code, 0);
   EXPECT_FALSE(job.error.empty());
 }
@@ -123,7 +123,7 @@ TEST(JobRecovery, OrphanedJobsRequeueOnRestart) {
 
   JobService jobs(store, shell, 1);
   Job job = jobs.wait("orphan1", dn(kJoeStr));
-  EXPECT_EQ(job.state, JobState::Done);
+  EXPECT_EQ(job.state, RequestState::Done);
   EXPECT_EQ(job.output, "recovered\n");
 }
 

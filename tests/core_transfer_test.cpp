@@ -1,14 +1,18 @@
-// Tests for third-party transfers: URL parsing, the full delegated pull
-// between two live servers (source read ACL + destination write ACL both
-// enforced against the user), MD5 verification, and failure modes.
+// Tests for third-party transfers: the full delegated pull between two
+// live servers (source read ACL + destination write ACL both enforced
+// against the user), MD5 verification, failure modes, and restart
+// recovery.
 #include <gtest/gtest.h>
 
 #include <fstream>
 
 #include "client/client.hpp"
 #include "core/server.hpp"
+#include "core/session.hpp"
 #include "core/transfer_service.hpp"
+#include "core/vo.hpp"
 #include "crypto/md5.hpp"
+#include "db/store.hpp"
 #include "pki/authority.hpp"
 #include "rpc/fault.hpp"
 #include "test_fixtures.hpp"
@@ -19,23 +23,6 @@ namespace {
 
 using clarens::testing::TempDir;
 using clarens::testing::TestPki;
-
-TEST(TransferUrl, Parsing) {
-  std::string host;
-  std::uint16_t port = 0;
-  bool tls = false;
-  parse_server_url("http://10.0.0.1:8080", host, port, tls);
-  EXPECT_EQ(host, "10.0.0.1");
-  EXPECT_EQ(port, 8080);
-  EXPECT_FALSE(tls);
-  parse_server_url("https://grid.example.org:8443/clarens", host, port, tls);
-  EXPECT_EQ(host, "grid.example.org");
-  EXPECT_EQ(port, 8443);
-  EXPECT_TRUE(tls);
-  EXPECT_THROW(parse_server_url("ftp://x:1", host, port, tls), ParseError);
-  EXPECT_THROW(parse_server_url("http://noport", host, port, tls), ParseError);
-  EXPECT_THROW(parse_server_url("http://:8080", host, port, tls), ParseError);
-}
 
 struct TwoSites {
   const TestPki& pki = TestPki::instance();
@@ -128,7 +115,7 @@ TEST(Transfer, DelegatedPullBetweenServers) {
 
   Transfer done = sites.dest->transfers().wait(
       id, pki::DistinguishedName::parse(sites.bob_dn));
-  EXPECT_EQ(done.state, TransferState::Done) << done.error;
+  EXPECT_EQ(done.state, RequestState::Done) << done.error;
   EXPECT_EQ(done.bytes, 300000);
   EXPECT_TRUE(done.verified);
 
@@ -163,7 +150,7 @@ TEST(Transfer, SourceAclEnforcedAgainstDelegatedIdentity) {
       id, pki::DistinguishedName::parse(sites.bob_dn));
   // The source denies bob, so the delegated pull fails — the destination
   // cannot launder access through its own identity.
-  EXPECT_EQ(done.state, TransferState::Failed);
+  EXPECT_EQ(done.state, RequestState::Failed);
   EXPECT_NE(done.error.find("denied"), std::string::npos);
 }
 
@@ -191,7 +178,7 @@ TEST(Transfer, MissingSourceFileFails) {
           .as_string();
   Transfer done = sites.dest->transfers().wait(
       id, pki::DistinguishedName::parse(sites.bob_dn));
-  EXPECT_EQ(done.state, TransferState::Failed);
+  EXPECT_EQ(done.state, RequestState::Failed);
   EXPECT_FALSE(done.error.empty());
 }
 
@@ -211,6 +198,36 @@ TEST(Transfer, OwnershipIsolation) {
           id, sites.pki.alice.certificate.subject()),
       AccessError);
   sites.dest->transfers().wait(id, pki::DistinguishedName::parse(sites.bob_dn));
+}
+
+TEST(TransferRecovery, OrphanedTransfersFailOnRestart) {
+  const TestPki& pki = TestPki::instance();
+  db::Store store;
+  VoManager vo(store, {});
+  AclManager acl(store, vo, /*default_allow=*/false);
+  FileService files(acl);
+  SessionManager sessions(store);
+  ProxyService proxies(store, sessions, pki.trust);
+
+  // Forge the rows a crashed server leaves behind: one pull mid-flight,
+  // one still queued. Neither delegated credential survived the crash.
+  const std::string owner = pki.bob.certificate.subject().str();
+  const std::string rest =
+      R"(,"source_host":"127.0.0.1","source_port":1,"source_tls":false,)"
+      R"("source_path":"/data/x","dest_path":"/replica/x","bytes":0,)"
+      R"("verified":false,"error":"","submitted":1,"finished":0})";
+  store.put("transfers", "running1",
+            R"({"owner":")" + owner + R"(","state":"RUNNING")" + rest);
+  store.put("transfers", "queued1",
+            R"({"owner":")" + owner + R"(","state":"QUEUED")" + rest);
+
+  TransferService transfers(store, files, proxies, pki.trust, 1);
+  for (const char* id : {"running1", "queued1"}) {
+    Transfer t = transfers.wait(id, pki.bob.certificate.subject());
+    EXPECT_STREQ(to_string(t.state), "FAILED") << id;
+    EXPECT_NE(t.error.find("server restart"), std::string::npos) << t.error;
+    EXPECT_GT(t.finished, 0) << id;
+  }
 }
 
 }  // namespace

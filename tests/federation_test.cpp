@@ -300,8 +300,14 @@ TEST(PeerEndpoint, ParsesAndRejects) {
       "https://node.example.org:443");
   EXPECT_TRUE(https.tls);
   EXPECT_EQ(https.host, "node.example.org");
+  client::PeerEndpoint suffixed = client::PeerEndpoint::parse(
+      "https://grid.example.org:8443/clarens");
+  EXPECT_EQ(suffixed.host, "grid.example.org");
+  EXPECT_EQ(suffixed.port, 8443);
+  EXPECT_TRUE(suffixed.tls);
   EXPECT_THROW(client::PeerEndpoint::parse("ftp://x:1"), ParseError);
   EXPECT_THROW(client::PeerEndpoint::parse("http://nohost"), ParseError);
+  EXPECT_THROW(client::PeerEndpoint::parse("http://:8080"), ParseError);
 }
 
 TEST(PeerPool, LeaseReturnsAndDiscards) {

@@ -42,7 +42,7 @@ TEST(LintRawSync, FlagsRawPrimitives) {
 
 TEST(LintRawSync, WrapperAndNestedTypesPass) {
   EXPECT_TRUE(lint_content("src/core/x.cpp",
-                           "util::Mutex m{util::LockLevel::kCoreJob};\n"
+                           "util::Mutex m{util::LockLevel::kCoreMessage};\n"
                            "util::Thread t;\n"
                            "std::thread::id tid;\n"
                            "std::thread::hardware_concurrency();\n")
@@ -202,17 +202,43 @@ TEST(LintRawNew, PlacementDeletedAndOperatorPass) {
                   .empty());
 }
 
+// --- thread-pool ------------------------------------------------------
+
+TEST(LintThreadPool, FlagsAHandRolledPoolMember) {
+  auto found = lint_content("src/core/x.hpp",
+                            "std::vector<util::Thread> workers_;\n");
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].rule, "thread-pool");
+  EXPECT_NE(found[0].message.find("workers_"), std::string::npos);
+}
+
+TEST(LintThreadPool, LocalsThePoolItselfAndTestsPass) {
+  // A function-local vector of threads joined before returning is not a
+  // pool; the pool's own implementation and test code are out of scope.
+  EXPECT_TRUE(lint_content("src/baseline/x.cpp",
+                           "std::vector<util::Thread> finished;\n")
+                  .empty());
+  EXPECT_TRUE(lint_content("src/util/thread_pool.hpp",
+                           "std::vector<Thread> workers_;\n")
+                  .empty());
+  EXPECT_TRUE(lint_content("tests/x_test.cpp",
+                           "std::vector<util::Thread> threads_;\n")
+                  .empty());
+}
+
 // --- lock-order -------------------------------------------------------
 
 TEST(LintLockOrder, DeclaredEdgePasses) {
   EXPECT_TRUE(
-      lint_content("src/core/x.cpp", "// lock-order: core.job -> db.store.shard\n")
+      lint_content("src/core/x.cpp",
+                   "// lock-order: core.message -> db.store.shard\n")
           .empty());
 }
 
 TEST(LintLockOrder, InvertedEdgeFlagged) {
   EXPECT_TRUE(has_rule(
-      lint_content("src/core/x.cpp", "// lock-order: db.store.shard -> core.job\n"),
+      lint_content("src/core/x.cpp",
+                   "// lock-order: db.store.shard -> core.message\n"),
       "lock-order"));
 }
 
@@ -220,20 +246,21 @@ TEST(LintLockOrder, SameRankFlagged) {
   // Two level-20 locks: neither may nest inside the other.
   EXPECT_TRUE(has_rule(
       lint_content("src/core/x.cpp",
-                   "// lock-order: core.job -> core.transfer\n"),
+                   "// lock-order: core.message -> core.shell\n"),
       "lock-order"));
 }
 
 TEST(LintLockOrder, UnknownLevelFlagged) {
   EXPECT_TRUE(has_rule(
-      lint_content("src/core/x.cpp", "// lock-order: core.job -> bogus\n"),
+      lint_content("src/core/x.cpp", "// lock-order: core.message -> bogus\n"),
       "lock-order"));
 }
 
 TEST(LintLockOrder, MalformedFlagged) {
-  EXPECT_TRUE(has_rule(lint_content("src/core/x.cpp",
-                                    "// lock-order: core.job db.store.shard\n"),
-                       "lock-order"));
+  EXPECT_TRUE(
+      has_rule(lint_content("src/core/x.cpp",
+                            "// lock-order: core.message db.store.shard\n"),
+               "lock-order"));
 }
 
 TEST(LintLockOrder, ProseMentionIgnored) {
@@ -331,7 +358,8 @@ TEST(LintLockOrder, SameRankTagAcceptedWhenRanksMatch) {
   // ...and rejected when they differ.
   EXPECT_TRUE(has_rule(
       lint_content("src/core/x.cpp",
-                   "// lock-order: core.job -> db.store.shard (same-rank)\n"),
+                   "// lock-order: core.message -> db.store.shard "
+                   "(same-rank)\n"),
       "lock-order"));
 }
 
@@ -352,7 +380,7 @@ TEST(LintUndeclaredMutex, FlagsLevellessDeclarations) {
 
 TEST(LintUndeclaredMutex, RankedDeclarationAndReferencesPass) {
   EXPECT_TRUE(lint_content("src/core/x.hpp",
-                           "util::Mutex m{util::LockLevel::kCoreJob};\n"
+                           "util::Mutex m{util::LockLevel::kCoreMessage};\n"
                            "mutable util::SharedMutex sm{\n"
                            "    util::LockLevel::kDbStoreShard};\n"
                            "void take(util::Mutex& m);\n"
@@ -364,16 +392,16 @@ TEST(LintUndeclaredMutex, RankedDeclarationAndReferencesPass) {
 
 namespace {
 constexpr const char* kTwoLevelDecls =
-    "util::Mutex job_{util::LockLevel::kCoreJob};\n"
+    "util::Mutex message_{util::LockLevel::kCoreMessage};\n"
     "util::Mutex shard_{util::LockLevel::kDbStoreShard};\n"
-    "util::Mutex transfer_{util::LockLevel::kCoreTransfer};\n";
+    "util::Mutex shell_{util::LockLevel::kCoreShell};\n";
 }  // namespace
 
 TEST(LintDerivedEdges, DownwardNestingPasses) {
   EXPECT_TRUE(lint_content("src/core/x.cpp",
                            std::string(kTwoLevelDecls) +
                                "void f() {\n"
-                               "  util::LockGuard a(job_);\n"
+                               "  util::LockGuard a(message_);\n"
                                "  util::LockGuard b(shard_);\n"
                                "}\n")
                   .empty());
@@ -384,7 +412,7 @@ TEST(LintDerivedEdges, InvertedNestingFlagged) {
                                     std::string(kTwoLevelDecls) +
                                         "void f() {\n"
                                         "  util::LockGuard a(shard_);\n"
-                                        "  util::LockGuard b(job_);\n"
+                                        "  util::LockGuard b(message_);\n"
                                         "}\n"),
                        "lock-order"));
 }
@@ -393,16 +421,16 @@ TEST(LintDerivedEdges, SameRankNeedsToken) {
   EXPECT_TRUE(has_rule(lint_content("src/core/x.cpp",
                                     std::string(kTwoLevelDecls) +
                                         "void f() {\n"
-                                        "  util::LockGuard a(job_);\n"
-                                        "  util::LockGuard b(transfer_);\n"
+                                        "  util::LockGuard a(message_);\n"
+                                        "  util::LockGuard b(shell_);\n"
                                         "}\n"),
                        "lock-order"));
   EXPECT_TRUE(
       lint_content("src/core/x.cpp",
                    std::string(kTwoLevelDecls) +
                        "void f() {\n"
-                       "  util::LockGuard a(job_);\n"
-                       "  util::LockGuard b(transfer_,\n"
+                       "  util::LockGuard a(message_);\n"
+                       "  util::LockGuard b(shell_,\n"
                        "                    util::SameRankToken{\"why\"});\n"
                        "}\n")
           .empty());
@@ -414,7 +442,7 @@ TEST(LintDerivedEdges, GuardScopeEndsAtBrace) {
                            std::string(kTwoLevelDecls) +
                                "void f() {\n"
                                "  { util::LockGuard a(shard_); }\n"
-                               "  { util::LockGuard b(job_); }\n"
+                               "  { util::LockGuard b(message_); }\n"
                                "}\n")
                   .empty());
 }
@@ -426,14 +454,14 @@ TEST(LintDerivedEdges, RequiresBodyCountsAsGuardScope) {
       lint_content("src/core/x.cpp",
                    std::string(kTwoLevelDecls) +
                        "void f() CLARENS_REQUIRES(shard_) {\n"
-                       "  util::LockGuard b(job_);\n"
+                       "  util::LockGuard b(message_);\n"
                        "}\n"),
       "lock-order"));
   // ...but a prototype holds nothing.
   EXPECT_TRUE(lint_content("src/core/x.cpp",
                            std::string(kTwoLevelDecls) +
                                "void f() CLARENS_REQUIRES(shard_);\n"
-                               "void g() { util::LockGuard b(job_); }\n")
+                               "void g() { util::LockGuard b(message_); }\n")
                   .empty());
 }
 
@@ -444,7 +472,7 @@ TEST(LintDerivedEdges, ResolvesThroughPairedHeader) {
       {"src/core/x.cpp",
        "void f() {\n"
        "  util::LockGuard a(shard_);\n"
-       "  util::LockGuard b(job_);\n"
+       "  util::LockGuard b(message_);\n"
        "}\n"},
   };
   EXPECT_TRUE(has_rule(lint_sources(files), "lock-order"));
@@ -456,14 +484,14 @@ TEST(LintHeldOverCall, BlockingCallUnderGuardFlagged) {
   EXPECT_TRUE(has_rule(lint_content("src/db/x.cpp",
                                     std::string(kTwoLevelDecls) +
                                         "void f() {\n"
-                                        "  util::LockGuard g(job_);\n"
+                                        "  util::LockGuard g(message_);\n"
                                         "  ::fdatasync(fd_);\n"
                                         "}\n"),
                        "held-over-call"));
   EXPECT_TRUE(has_rule(lint_content("src/client/x.cpp",
                                     std::string(kTwoLevelDecls) +
                                         "void f() {\n"
-                                        "  util::LockGuard g(job_);\n"
+                                        "  util::LockGuard g(message_);\n"
                                         "  auto r = client.roundtrip(req);\n"
                                         "}\n"),
                        "held-over-call"));
@@ -473,7 +501,7 @@ TEST(LintHeldOverCall, AfterGuardScopeEndsPasses) {
   EXPECT_TRUE(lint_content("src/db/x.cpp",
                            std::string(kTwoLevelDecls) +
                                "void f() {\n"
-                               "  { util::LockGuard g(job_); note(); }\n"
+                               "  { util::LockGuard g(message_); note(); }\n"
                                "  ::fdatasync(fd_);\n"
                                "}\n")
                   .empty());
@@ -484,7 +512,7 @@ TEST(LintHeldOverCall, AllowSuppresses) {
       lint_content("src/db/x.cpp",
                    std::string(kTwoLevelDecls) +
                        "void f() {\n"
-                       "  util::LockGuard g(job_);\n"
+                       "  util::LockGuard g(message_);\n"
                        "  // clarens-lint: allow(held-over-call): cold "
                        "shutdown path, no concurrent acquirers\n"
                        "  ::fdatasync(fd_);\n"
@@ -501,13 +529,13 @@ TEST(LintLockCycle, TwoNodeTokenedCycleAcrossFiles) {
       {"src/core/a.cpp",
        std::string(kTwoLevelDecls) +
            "void a() {\n"
-           "  util::LockGuard g1(job_);\n"
-           "  util::LockGuard g2(transfer_, util::SameRankToken{\"a\"});\n"
+           "  util::LockGuard g1(message_);\n"
+           "  util::LockGuard g2(shell_, util::SameRankToken{\"a\"});\n"
            "}\n"},
       {"src/core/b.cpp",
        "void b() {\n"
-       "  util::LockGuard g1(transfer_);\n"
-       "  util::LockGuard g2(job_, util::SameRankToken{\"b\"});\n"
+       "  util::LockGuard g1(shell_);\n"
+       "  util::LockGuard g2(message_, util::SameRankToken{\"b\"});\n"
        "}\n"},
   };
   auto found = lint_sources(files);
@@ -520,27 +548,27 @@ TEST(LintLockCycle, ThreeNodeCommentCycleAcrossFiles) {
   // deadlock in combination.
   std::vector<SourceFile> files = {
       {"src/core/a.cpp",
-       "// lock-order: core.job -> core.transfer (same-rank)\n"},
+       "// lock-order: core.message -> core.shell (same-rank)\n"},
       {"src/core/b.cpp",
-       "// lock-order: core.transfer -> core.message (same-rank)\n"},
+       "// lock-order: core.shell -> core.srm (same-rank)\n"},
       {"src/core/c.cpp",
-       "// lock-order: core.message -> core.job (same-rank)\n"},
+       "// lock-order: core.srm -> core.message (same-rank)\n"},
   };
   auto found = lint_sources(files);
   ASSERT_TRUE(has_rule(found, "lock-cycle"));
   for (const auto& violation : found) {
     if (violation.rule != "lock-cycle") continue;
     // The report names the full chain with one site per edge.
-    EXPECT_NE(violation.message.find("core.job"), std::string::npos);
-    EXPECT_NE(violation.message.find("core.transfer"), std::string::npos);
     EXPECT_NE(violation.message.find("core.message"), std::string::npos);
+    EXPECT_NE(violation.message.find("core.shell"), std::string::npos);
+    EXPECT_NE(violation.message.find("core.srm"), std::string::npos);
     EXPECT_NE(violation.message.find("src/core/a.cpp:1"), std::string::npos);
   }
 }
 
 TEST(LintLockCycle, AcyclicGraphPasses) {
   std::vector<SourceFile> files = {
-      {"src/core/a.cpp", "// lock-order: core.job -> db.store.shard\n"},
+      {"src/core/a.cpp", "// lock-order: core.message -> db.store.shard\n"},
       {"src/core/b.cpp",
        "// lock-order: db.store.shard -> db.store.journal\n"},
   };

@@ -17,7 +17,7 @@ TEST(LockRankDeathTest, AbortsOnInvertedAcquisition) {
   EXPECT_DEATH(
       {
         Mutex inner{LockLevel::kDbStoreJournal};
-        Mutex outer{LockLevel::kCoreJob};
+        Mutex outer{LockLevel::kCoreMessage};
         LockGuard hold(inner);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard up(outer);  // rank 20 while holding rank 50
@@ -29,8 +29,8 @@ TEST(LockRankDeathTest, AbortsOnSameRankWithoutToken) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex a{LockLevel::kCoreJob};
-        Mutex b{LockLevel::kCoreTransfer};  // also rank 20
+        Mutex a{LockLevel::kCoreMessage};
+        Mutex b{LockLevel::kCoreShell};  // also rank 20
         LockGuard ga(a);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard gb(b);  // sideways without a SameRankToken
@@ -42,7 +42,7 @@ TEST(LockRankDeathTest, AbortsOnRecursiveAcquisition) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex m{LockLevel::kCoreJob};
+        Mutex m{LockLevel::kCoreMessage};
         LockGuard first(m);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard second(m);  // self-deadlock caught before blocking
@@ -55,20 +55,20 @@ TEST(LockRankDeathTest, SharedLockRanksLikeExclusive) {
   EXPECT_DEATH(
       {
         SharedMutex shard{LockLevel::kDbStoreShard};
-        Mutex job{LockLevel::kCoreJob};
+        Mutex message{LockLevel::kCoreMessage};
         ReadLock read(shard);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
-        LockGuard up(job);  // upward from a shared hold still aborts
+        LockGuard up(message);  // upward from a shared hold still aborts
       },
       "lock-rank violation");
 }
 
 TEST(LockRank, LegalDownwardChainIsSilent) {
-  Mutex job{LockLevel::kCoreJob};
+  Mutex message{LockLevel::kCoreMessage};
   SharedMutex shard{LockLevel::kDbStoreShard};
   Mutex journal{LockLevel::kDbStoreJournal};
   {
-    LockGuard g1(job);
+    LockGuard g1(message);
     WriteLock g2(shard);
     UniqueLock g3(journal);
     EXPECT_EQ(rank_check::held_count(), 3);
@@ -85,12 +85,12 @@ TEST(LockRank, SameRankTokenPermitsSidewaysNesting) {
 }
 
 TEST(LockRank, OutOfOrderReleaseKeepsStackConsistent) {
-  Mutex job{LockLevel::kCoreJob};
+  Mutex message{LockLevel::kCoreMessage};
   Mutex journal{LockLevel::kDbStoreJournal};
   Mutex logging{LockLevel::kUtilLogging};
-  job.lock();
+  message.lock();
   journal.lock();
-  job.unlock();  // release the *outer* lock first
+  message.unlock();  // release the *outer* lock first
   EXPECT_EQ(rank_check::held_count(), 1);
   logging.lock();  // still legal downward from journal
   EXPECT_EQ(rank_check::held_count(), 2);
@@ -98,7 +98,7 @@ TEST(LockRank, OutOfOrderReleaseKeepsStackConsistent) {
   journal.unlock();
   EXPECT_EQ(rank_check::held_count(), 0);
   // With nothing held, acquiring the low-rank lock again is legal.
-  LockGuard again(job);
+  LockGuard again(message);
   EXPECT_EQ(rank_check::held_count(), 1);
 }
 

@@ -2,8 +2,9 @@
 // FileLayout encode/decode, the LayoutTable over db::Store, the
 // FaultInjector switchboard, the client RetryPolicy schedule, and the
 // Replicator's event intake / suspect tracking without its worker
-// thread, and the periodic fsck scrub on a small live cluster (the full
-// fault pass is covered by federation_cluster_test).
+// thread, and on a small live cluster the periodic fsck scrub and the
+// commit-free repair copy (the full fault pass is covered by
+// federation_cluster_test).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -491,6 +492,28 @@ bool eventually(F predicate) {
   return predicate();
 }
 
+/// A node of a small live cluster publishing to `station_port`; `root`
+/// (storage nodes only) backs /data.
+core::ClarensConfig cluster_config(std::uint16_t station_port,
+                                   const std::string& node,
+                                   core::NodeRole role,
+                                   const std::string& root,
+                                   const std::string& head_url) {
+  core::ClarensConfig c;
+  c.trust = testing::TestPki::instance().trust;
+  c.default_allow = true;  // ACLs are not under test here
+  c.farm = "scrubfarm";
+  c.node = node;
+  c.node_role = role;
+  c.node_ticket_secret = "periodic-scrub-secret";
+  c.head_url = head_url;
+  c.station = {{"127.0.0.1", station_port}};
+  c.publish_interval_ms = 100;
+  c.federation_refresh_ms = 100;
+  if (!root.empty()) c.file_roots = {{"/data", root}};
+  return c;
+}
+
 TEST(PeriodicScrub, RepairsABitFlippedReplicaWithoutAnFsckCall) {
   const testing::TestPki& pki = testing::TestPki::instance();
   testing::TempDir tmp;
@@ -498,22 +521,9 @@ TEST(PeriodicScrub, RepairsABitFlippedReplicaWithoutAnFsckCall) {
   db::Store discovery_store;
   discovery::DiscoveryServer discovery(discovery_store, /*record_ttl=*/5);
   discovery.subscribe("127.0.0.1", station.port());
-
   auto config = [&](const std::string& node, core::NodeRole role,
                     const std::string& root, const std::string& head_url) {
-    core::ClarensConfig c;
-    c.trust = pki.trust;
-    c.default_allow = true;  // ACLs are not under test here
-    c.farm = "scrubfarm";
-    c.node = node;
-    c.node_role = role;
-    c.node_ticket_secret = "periodic-scrub-secret";
-    c.head_url = head_url;
-    c.station = {{"127.0.0.1", station.port()}};
-    c.publish_interval_ms = 100;
-    c.federation_refresh_ms = 100;
-    if (!root.empty()) c.file_roots = {{"/data", root}};
-    return c;
+    return cluster_config(station.port(), node, role, root, head_url);
   };
 
   core::ClarensConfig head_config = config("head", core::NodeRole::Head, "", "");
@@ -562,6 +572,69 @@ TEST(PeriodicScrub, RepairsABitFlippedReplicaWithoutAnFsckCall) {
            head.replicator()->stats().fsck_runs > runs_before;
   })) << "the periodic scrub never repaired the flipped replica";
   EXPECT_EQ(disk_bytes(dirs[1] + "/run1/evt.bin"), payload);
+
+  fst1.stop();
+  fst2.stop();
+  head.stop();
+}
+
+// Repair traffic is marked as replication, so storage nodes send no
+// replica.committed for it: a repair copy must never count as a commit.
+TEST(RepairTraffic, CopyingAReplicaSendsNoCommitNotification) {
+  const testing::TestPki& pki = testing::TestPki::instance();
+  testing::TempDir tmp;
+  discovery::StationServer station;
+  db::Store discovery_store;
+  discovery::DiscoveryServer discovery(discovery_store, /*record_ttl=*/5);
+  discovery.subscribe("127.0.0.1", station.port());
+
+  core::ClarensConfig head_config = cluster_config(
+      station.port(), "head", core::NodeRole::Head, "", "");
+  head_config.placement_replicas = 2;
+  core::ClarensServer head(std::move(head_config));
+  head.attach_discovery(discovery);
+  head.start();
+  const std::array<std::string, 2> dirs = {tmp.sub("fst1"), tmp.sub("fst2")};
+  core::ClarensServer fst1(cluster_config(
+      station.port(), "fst1", core::NodeRole::Storage, dirs[0], head.url()));
+  fst1.start();
+  ASSERT_TRUE(eventually(
+      [&] { return head.router()->storage_nodes().size() == 1; }));
+
+  // With one storage node the write lands on fst1 only; its commit
+  // notification is the one commit this test expects.
+  client::ClientOptions base;
+  base.credential = pki.alice;
+  base.trust = &pki.trust;
+  client::RoutedClient client(head.url(), base);
+  client.authenticate();
+  const std::string path = "/data/run1/evt.bin";
+  const std::string payload(4096, 'r');
+  client.call("file.mkdir", {rpc::Value(std::string("/data/run1"))});
+  ASSERT_TRUE(
+      client.call("file.write", {rpc::Value(path), rpc::Value(payload)})
+          .as_bool());
+  ASSERT_TRUE(eventually([&] {
+    auto layout = head.layouts()->get(path);
+    return layout && layout->confirmed;
+  }));
+  federation::ReplicatorStats before = head.replicator()->stats();
+  EXPECT_EQ(before.commits, 1u);
+
+  core::ClarensServer fst2(cluster_config(
+      station.port(), "fst2", core::NodeRole::Storage, dirs[1], head.url()));
+  fst2.start();
+  ASSERT_TRUE(eventually(
+      [&] { return head.router()->storage_nodes().size() == 2; }));
+  rpc::Value repaired = client.call("replica.repair", {rpc::Value(path)});
+  ASSERT_TRUE(repaired.at("ok").as_bool()) << repaired.debug_string();
+
+  // A storage node notifies inside its file.write handler, so any commit
+  // the copy caused has landed by the time the repair call returns.
+  EXPECT_EQ(disk_bytes(dirs[1] + "/run1/evt.bin"), payload);
+  federation::ReplicatorStats after = head.replicator()->stats();
+  EXPECT_GT(after.copies, before.copies);
+  EXPECT_EQ(after.commits, before.commits);
 
   fst1.stop();
   fst2.stop();

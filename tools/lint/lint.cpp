@@ -188,7 +188,7 @@ const std::set<std::string>& known_rules() {
       "raw-sync",         "detach",           "net-blocking",
       "layering",         "raw-new",          "lock-order",
       "reactor-blocking", "undeclared-mutex", "held-over-call",
-      "lock-cycle",
+      "lock-cycle",       "thread-pool",
   };
   return rules;
 }
@@ -394,6 +394,35 @@ void check_reactor_blocking(const std::string& path,
                          "reactor thread, say so with allow(reactor-"
                          "blocking)"});
       break;  // one finding per line is enough to demand the annotation
+    }
+  }
+}
+
+void check_thread_pool(const std::string& path,
+                       const std::vector<LineInfo>& lines,
+                       std::vector<Violation>& out) {
+  // Workers draining a queue are util::ThreadPool; a vector of threads
+  // held as a member (members end in '_' in this tree) is that pool
+  // hand-rolled again, with its own queue, condvar and stop flag.
+  if (!path_in(path, "src") || path_ends_with(path, "util/thread_pool.hpp") ||
+      path_ends_with(path, "util/thread_pool.cpp")) {
+    return;
+  }
+  static const char* kTokens[] = {"std::vector<util::Thread>",
+                                  "std::vector<Thread>"};
+  for (std::size_t n = 0; n < lines.size(); ++n) {
+    const std::string& code = lines[n].code;
+    for (const char* token : kTokens) {
+      std::size_t pos = find_token(code, token);
+      if (pos == std::string::npos) continue;
+      std::size_t begin = skip_spaces(code, pos + std::string(token).size());
+      std::size_t end = begin;
+      while (end < code.size() && ident_char(code[end])) ++end;
+      if (end == begin || code[end - 1] != '_') continue;
+      out.push_back({path, static_cast<int>(n) + 1, "thread-pool",
+                     "hand-rolled worker pool '" +
+                         code.substr(begin, end - begin) +
+                         "'; run the work on util::ThreadPool"});
     }
   }
 }
@@ -1045,6 +1074,7 @@ std::vector<Violation> lint_sources(const std::vector<SourceFile>& files) {
     check_reactor_blocking(file.path, lines, state.found);
     check_layering(file.path, lines, state.found);
     check_raw_new(file.path, lines, state.found);
+    check_thread_pool(file.path, lines, state.found);
     GraphInput input;
     input.path = file.path;
     input.scan = scan_lock_graph(file.path, lines, state.found);

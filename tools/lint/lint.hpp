@@ -54,6 +54,11 @@
 //                 token is locally justified, but two tokened edges in
 //                 opposite directions across different files are a
 //                 deadlock no per-edge check can see.
+//   thread-pool   a `std::vector<util::Thread>` member in src/ outside
+//                 util/thread_pool.*. Workers draining a queue belong on
+//                 util::ThreadPool; this stops a hand-rolled pool (its
+//                 own deque, condvar, stop flag and join loop) from
+//                 growing back.
 //   bad-allow     a `// clarens-lint: allow(rule)` escape hatch without
 //                 a justification, or naming an unknown rule.
 //

@@ -149,8 +149,13 @@ void HeavyGridServer::serve_one(net::TcpConnection tcp) {
     if (!mapped) throw AccessError("identity not in grid-mapfile");
     // (3) service instantiation: parse the deployment descriptor.
     for (int i = 0; i < options_.container_work_factor; ++i) {
-      rpc::XmlNode wsdd = rpc::xml_parse(wsdd_);
-      if (wsdd.children.empty()) throw Error("empty deployment descriptor");
+      rpc::XmlPullParser wsdd(wsdd_);
+      int elements = 0;
+      for (auto event = wsdd.next(); event != rpc::XmlPullParser::Event::Eof;
+           event = wsdd.next()) {
+        if (event == rpc::XmlPullParser::Event::StartTag) ++elements;
+      }
+      if (elements < 2) throw Error("empty deployment descriptor");
     }
     // (4) SOAP processing + dispatch of the trivial method.
     rpc::Request call = rpc::soap::parse_request(request->body);

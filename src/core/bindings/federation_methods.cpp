@@ -18,14 +18,13 @@
 //   * file.locate (new) exposes the placement decision itself.
 //
 // When the ring is empty (no live storage node) every method falls back
-// to the head's local FileService, so a degraded cluster behaves like a
+// to the local handler it replaced, so a degraded cluster behaves like a
 // standalone server rather than erroring.
 #include <algorithm>
 #include <set>
 
 #include "core/bindings/bindings.hpp"
 #include "core/acl.hpp"
-#include "core/file_service.hpp"
 #include "core/server.hpp"
 #include "core/vo.hpp"
 #include "federation/replicator.hpp"
@@ -116,19 +115,21 @@ void register_federation_methods(ClarensServer& server,
                                  rpc::Registry& registry) {
   ClarensServer* s = &server;
   federation::Router* r = &router;
-  FileService* files = &server.files();
+  // Each binding below captures, as `fallback`, the standalone handler it
+  // replaces: it answers whenever no storage node owns the path.
 
   registry.bind(
       "file.read",
-      [s, r, files](const rpc::CallContext& context, const std::string& path,
-                    std::int64_t offset, std::int64_t length) -> rpc::Value {
+      [s, r, fallback = registry.find("file.read")](
+          const rpc::CallContext& context, const std::string& path,
+          std::int64_t offset, std::int64_t length) -> rpc::Value {
         if (auto owner = s->replicator()->pick_read_node(path)) {
           check_file_access(*s, context, path, /*write=*/false);
           return redirect_to(*r, context, *owner, path, /*write=*/false)
               .to_value();
         }
-        return rpc::Value(files->read(path, offset, length,
-                                      caller_dn(context)));
+        return fallback->handler(context, {rpc::Value(path), rpc::Value(offset),
+                                           rpc::Value(length)});
       },
       {.help = "Read a byte range (redirects to the owning storage node)",
        .params = {"path", "offset", "length"},
@@ -136,16 +137,19 @@ void register_federation_methods(ClarensServer& server,
 
   registry.bind(
       "file.write",
-      [s, r, files](const rpc::CallContext& context, const std::string& path,
-                    rpc::Blob data) -> rpc::Value {
+      [s, r, fallback = registry.find("file.write")](
+          const rpc::CallContext& context, const std::string& path,
+          rpc::Blob data) -> rpc::Value {
         if (auto owner = r->route(path)) {
           check_file_access(*s, context, path, /*write=*/true);
           note_write(*s, context, path, *owner);
           return redirect_to(*r, context, *owner, path, /*write=*/true)
               .to_value();
         }
-        files->write(path, data.bytes, caller_dn(context));
-        return rpc::Value(true);
+        return fallback->handler(
+            context, {rpc::Value(path),
+                      rpc::Value(std::vector<std::uint8_t>(data.bytes.begin(),
+                                                           data.bytes.end()))});
       },
       {.help = "Create or overwrite a file (redirects to the owning node)",
        .params = {"path", "data"},
@@ -153,16 +157,19 @@ void register_federation_methods(ClarensServer& server,
 
   registry.bind(
       "file.append",
-      [s, r, files](const rpc::CallContext& context, const std::string& path,
-                    rpc::Blob data) -> rpc::Value {
+      [s, r, fallback = registry.find("file.append")](
+          const rpc::CallContext& context, const std::string& path,
+          rpc::Blob data) -> rpc::Value {
         if (auto owner = r->route(path)) {
           check_file_access(*s, context, path, /*write=*/true);
           note_write(*s, context, path, *owner);
           return redirect_to(*r, context, *owner, path, /*write=*/true)
               .to_value();
         }
-        files->append(path, data.bytes, caller_dn(context));
-        return rpc::Value(true);
+        return fallback->handler(
+            context, {rpc::Value(path),
+                      rpc::Value(std::vector<std::uint8_t>(data.bytes.begin(),
+                                                           data.bytes.end()))});
       },
       {.help = "Append to a file (redirects to the owning node)",
        .params = {"path", "data"},
@@ -170,15 +177,15 @@ void register_federation_methods(ClarensServer& server,
 
   registry.bind(
       "file.mkdir",
-      [s, r, files](const rpc::CallContext& context,
-                    const std::string& path) -> rpc::Value {
+      [s, r, fallback = registry.find("file.mkdir")](
+          const rpc::CallContext& context,
+          const std::string& path) -> rpc::Value {
         if (auto owner = r->route(path)) {
           check_file_access(*s, context, path, /*write=*/true);
           return redirect_to(*r, context, *owner, path, /*write=*/true)
               .to_value();
         }
-        files->mkdir(path, caller_dn(context));
-        return rpc::Value(true);
+        return fallback->handler(context, {rpc::Value(path)});
       },
       {.help = "Create a directory (redirects to the owning node)",
        .params = {"path"},
@@ -186,8 +193,9 @@ void register_federation_methods(ClarensServer& server,
 
   registry.bind(
       "file.rm",
-      [s, r, files](const rpc::CallContext& context,
-                    const std::string& path) -> rpc::Value {
+      [s, r, fallback = registry.find("file.rm")](
+          const rpc::CallContext& context,
+          const std::string& path) -> rpc::Value {
         if (auto owner = r->route(path)) {
           check_file_access(*s, context, path, /*write=*/true);
           // The client removes the primary copy; the replicator purges
@@ -196,8 +204,7 @@ void register_federation_methods(ClarensServer& server,
           return redirect_to(*r, context, *owner, path, /*write=*/true)
               .to_value();
         }
-        files->remove(path, caller_dn(context));
-        return rpc::Value(true);
+        return fallback->handler(context, {rpc::Value(path)});
       },
       {.help = "Remove a file or tree (redirects to the owning node)",
        .params = {"path"},
@@ -211,8 +218,9 @@ void register_federation_methods(ClarensServer& server,
     std::string method = name;
     registry.bind(
         method,
-        [s, r, files, method](const rpc::CallContext& context,
-                              const std::string& path) -> rpc::Value {
+        [s, r, method, fallback = registry.find(method)](
+            const rpc::CallContext& context,
+          const std::string& path) -> rpc::Value {
           std::vector<rpc::Value> params = {rpc::Value(path)};
           if (auto owner = s->replicator()->pick_read_node(path)) {
             check_file_access(*s, context, path, /*write=*/false);
@@ -227,23 +235,7 @@ void register_federation_methods(ClarensServer& server,
               throw;
             }
           }
-          pki::DistinguishedName dn = caller_dn(context);
-          if (method == "file.md5") return rpc::Value(files->md5(path, dn));
-          if (method == "file.size") return rpc::Value(files->size(path, dn));
-          if (method == "file.checksum") {
-            FileService::FileChecksum sum = files->checksum(path, dn);
-            rpc::Value v = rpc::Value::struct_();
-            v.set("md5", sum.md5);
-            v.set("size", sum.size);
-            return v;
-          }
-          FileStat st = files->stat(path, dn);
-          rpc::Value v = rpc::Value::struct_();
-          v.set("name", st.name);
-          v.set("is_directory", st.is_directory);
-          v.set("size", st.size);
-          v.set("mtime", rpc::DateTime{st.mtime});
-          return v;
+          return fallback->handler(context, params);
         },
         {.help = std::string(name) + " proxied to the owning storage node",
          .params = {"path"},
@@ -252,20 +244,11 @@ void register_federation_methods(ClarensServer& server,
 
   registry.bind(
       "file.ls",
-      [s, r, files](const rpc::CallContext& context,
-                    const std::string& path) -> rpc::Value {
-        std::vector<federation::NodeInfo> nodes = r->storage_nodes();
-        if (nodes.empty()) {
-          rpc::Value out = rpc::Value::array();
-          for (const auto& st : files->ls(path, caller_dn(context))) {
-            rpc::Value v = rpc::Value::struct_();
-            v.set("name", st.name);
-            v.set("is_directory", st.is_directory);
-            v.set("size", st.size);
-            v.set("mtime", rpc::DateTime{st.mtime});
-            out.push(v);
-          }
-          return out;
+      [s, r, fallback = registry.find("file.ls")](
+          const rpc::CallContext& context,
+          const std::string& path) -> rpc::Value {
+        if (r->storage_nodes().empty()) {
+          return fallback->handler(context, {rpc::Value(path)});
         }
         check_file_access(*s, context, path, /*write=*/false);
         // One namespace, many nodes: merge the per-node listings and
@@ -290,16 +273,12 @@ void register_federation_methods(ClarensServer& server,
 
   registry.bind(
       "file.find",
-      [s, r, files](const rpc::CallContext& context, const std::string& path,
-                    const std::string& pattern) -> rpc::Value {
-        std::vector<federation::NodeInfo> nodes = r->storage_nodes();
-        if (nodes.empty()) {
-          rpc::Value out = rpc::Value::array();
-          for (const auto& hit :
-               files->find(path, pattern, caller_dn(context))) {
-            out.push(hit);
-          }
-          return out;
+      [s, r, fallback = registry.find("file.find")](
+          const rpc::CallContext& context, const std::string& path,
+          const std::string& pattern) -> rpc::Value {
+        if (r->storage_nodes().empty()) {
+          return fallback->handler(context,
+                                   {rpc::Value(path), rpc::Value(pattern)});
         }
         check_file_access(*s, context, path, /*write=*/false);
         std::vector<rpc::Value> per_node =

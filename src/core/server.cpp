@@ -332,36 +332,38 @@ void ClarensServer::check_acl(const std::string& method,
 void ClarensServer::start_publisher() {
   publisher_ = std::make_unique<discovery::Publisher>(config_.station->first,
                                                       config_.station->second);
-  std::vector<discovery::ServiceRecord> records;
-  std::set<std::string> modules;
-  for (const auto& name : registry_.list()) {
-    modules.insert(name.substr(0, name.find('.')));
-  }
-  for (const auto& module : modules) {
-    discovery::ServiceRecord record;
-    record.farm = config_.farm;
-    record.node = config_.node;
-    record.service = module;
-    record.url = url();
-    record.protocol = "xmlrpc";
-    record.version = "1.0";
-    // Federation attributes: the role tells head routers whether this
-    // node belongs on the placement ring; storage nodes advertise their
-    // virtual roots as namespace prefixes.
-    record.role = to_string(config_.node_role);
-    if (config_.node_role == NodeRole::Storage) {
-      record.prefixes = files_->roots();
+  // Rebuilt before every publish so the load metrics stay current.
+  publisher_->start_periodic(config_.publish_interval_ms, [this] {
+    std::vector<discovery::ServiceRecord> records;
+    std::set<std::string> modules;
+    for (const auto& name : registry_.list()) {
+      modules.insert(name.substr(0, name.find('.')));
     }
-    // GLUE-style key/numerical-value pairs (paper §2.4): basic load data
-    // rides along with the service description.
-    record.metrics["methods"] = static_cast<double>(registry_.size());
-    record.metrics["sessions"] =
-        static_cast<double>(sessions_->active_count());
-    record.metrics["capacity"] = config_.node_capacity;
-    records.push_back(std::move(record));
-  }
-  publisher_->set_records(std::move(records));
-  publisher_->start_periodic(config_.publish_interval_ms);
+    for (const auto& module : modules) {
+      discovery::ServiceRecord record;
+      record.farm = config_.farm;
+      record.node = config_.node;
+      record.service = module;
+      record.url = url();
+      record.protocol = "xmlrpc";
+      record.version = "1.0";
+      // Federation attributes: the role tells head routers whether this
+      // node belongs on the placement ring; storage nodes advertise their
+      // virtual roots as namespace prefixes.
+      record.role = to_string(config_.node_role);
+      if (config_.node_role == NodeRole::Storage) {
+        record.prefixes = files_->roots();
+      }
+      // GLUE-style key/numerical-value pairs (paper §2.4): basic load data
+      // rides along with the service description.
+      record.metrics["methods"] = static_cast<double>(registry_.size());
+      record.metrics["sessions"] =
+          static_cast<double>(sessions_->active_count());
+      record.metrics["capacity"] = config_.node_capacity;
+      records.push_back(std::move(record));
+    }
+    return records;
+  });
 }
 
 http::Response ClarensServer::handle(const http::Request& request,

@@ -30,10 +30,12 @@ void Publisher::publish_once() {
   socket_.send_to(station_host_, station_port_, datagram.encode());
 }
 
-void Publisher::start_periodic(int interval_ms) {
+void Publisher::start_periodic(
+    int interval_ms, std::function<std::vector<ServiceRecord>()> build) {
   if (running_.exchange(true)) return;
-  ticker_ = util::Thread([this, interval_ms] {
+  ticker_ = util::Thread([this, interval_ms, build = std::move(build)] {
     while (running_.load()) {
+      set_records(build());
       publish_once();
       for (int waited = 0; waited < interval_ms && running_.load(); waited += 50) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));

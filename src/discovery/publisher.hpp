@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,8 +28,12 @@ class Publisher {
   /// Send one publish datagram now (heartbeats are stamped fresh).
   void publish_once();
 
-  /// Re-publish every `interval_ms` until stopped (heartbeat keep-alive).
-  void start_periodic(int interval_ms);
+  /// Every `interval_ms` until stopped: rebuild the record set with
+  /// `build` (called outside the publisher's lock, so it may take the
+  /// caller's own locks) and publish it. Heartbeats keep records alive;
+  /// the rebuild keeps their load metrics current.
+  void start_periodic(int interval_ms,
+                      std::function<std::vector<ServiceRecord>()> build);
   void stop();
 
  private:

@@ -3,6 +3,8 @@
 #include "rpc/binrpc.hpp"
 #include "rpc/jsonrpc.hpp"
 #include "rpc/soap.hpp"
+#include "rpc/xml.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace clarens::rpc {
@@ -70,14 +72,17 @@ std::string peek_method(Protocol protocol, std::string_view body) {
       return std::string(body.substr(11, len));
     }
     case Protocol::XmlRpc:
-    case Protocol::Soap: {
-      std::size_t open = body.find("<methodName>");
-      if (open == std::string_view::npos) return {};
-      open += std::string_view("<methodName>").size();
-      std::size_t close = body.find("</methodName>", open);
-      if (close == std::string_view::npos || close - open > 256) return {};
-      return std::string(util::trim(body.substr(open, close - open)));
-    }
+    case Protocol::Soap:
+      // The codec's own method-locating step, so the peek names exactly
+      // the method parse_request will dispatch. It stops at the method
+      // name; the rest of the body is left to the full parse.
+      try {
+        XmlPullParser parser(body);
+        if (protocol == Protocol::XmlRpc) return xmlrpc::locate_method(parser);
+        return std::string(soap::locate_call(parser));
+      } catch (const ParseError&) {
+        return {};
+      }
     case Protocol::JsonRpc: {
       // Depth-aware scan: only a "method" key of the top-level object
       // counts, so a nested {"params":{"method":...}} cannot spoof the
@@ -113,10 +118,13 @@ std::string peek_method(Protocol protocol, std::string_view body) {
             if (escaped || str.size() > 256) return {};
             found.assign(str);
             have = true;
-          } else if (depth == 1 && !escaped && str == "method") {
-            // A key only if followed by ':' and a string value.
+          } else if (depth == 1 && (escaped || str == "method")) {
+            // A key only if followed by ':' and a string value. An
+            // escaped key may decode to "method" (last wins in the
+            // parser), so punt rather than decode it.
             std::size_t k = body.find_first_not_of(kWs, j + 1);
             if (k != std::string_view::npos && body[k] == ':') {
+              if (escaped) return {};
               std::size_t v = body.find_first_not_of(kWs, k + 1);
               if (v == std::string_view::npos || body[v] != '"') return {};
               method_key = true;

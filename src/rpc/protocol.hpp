@@ -21,9 +21,11 @@ Protocol detect(std::string_view content_type_header, std::string_view body);
 /// Cheap, never-throwing method-name extraction from an unparsed request
 /// body — the HTTP server's inline-dispatch policy keys its per-method
 /// cost table on this at parse time, before deciding which thread runs
-/// the full parse + handler. Returns "" when the method cannot be found
-/// (the request then always takes the worker path, where the real parser
-/// reports the error).
+/// the full parse + handler. Returns either exactly the method
+/// parse_request would dispatch, or "" (the request then always takes
+/// the worker path, where the real parser reports any error). XML-RPC
+/// and SOAP run the codec's own locating step; JSON-RPC and binary scan
+/// the same structure their parsers read.
 std::string peek_method(Protocol protocol, std::string_view body);
 
 std::string serialize_request(Protocol protocol, const Request& request);

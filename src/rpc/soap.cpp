@@ -1,5 +1,7 @@
 #include "rpc/soap.hpp"
 
+#include <optional>
+
 #include "rpc/fault.hpp"
 #include "rpc/xml.hpp"
 #include "util/error.hpp"
@@ -18,16 +20,50 @@ constexpr std::string_view kEnvelopeOpen =
 constexpr std::string_view kEnvelopeClose =
     "</SOAP-ENV:Body></SOAP-ENV:Envelope>";
 
-// Method names contain dots (file.read); XML element names may contain
-// dots too, so they pass through unmodified.
+using Event = XmlPullParser::Event;
 
-const XmlSlice* find_body(const XmlSlice& root) {
-  if (root.local_name() != "Envelope") {
-    throw ParseError("SOAP document root must be Envelope");
+/// Consume the rest of the document: whatever follows the part a parser
+/// read must still be well formed, with nothing after the root.
+void drain(XmlPullParser& p) {
+  while (p.next() != Event::Eof) {
   }
-  const XmlSlice* body = root.child("Body");
-  if (!body) throw ParseError("SOAP Envelope missing Body");
-  return body;
+}
+
+/// The <Fault> element whose StartTag was just read.
+Response parse_fault(XmlPullParser& p) {
+  std::optional<std::string> code;
+  std::optional<std::string> message;
+  for (Event event = p.next(); event != Event::EndTag; event = p.next()) {
+    if (event != Event::StartTag) continue;
+    if (!code && p.local_name() == "faultcode") {
+      code = p.element_text();
+    } else if (!message && p.local_name() == "faultstring") {
+      message = p.element_text();
+    } else {
+      p.skip_element();
+    }
+  }
+  if (!code || !message) throw ParseError("SOAP Fault missing fields");
+  return Response::fault(static_cast<int>(util::parse_int(util::trim(*code))),
+                         std::move(*message));
+}
+
+/// The result element (<m:Response>) whose StartTag was just read.
+Response parse_result(XmlPullParser& p) {
+  std::optional<Value> value;
+  bool have_param = false;
+  for (Event event = p.next(); event != Event::EndTag; event = p.next()) {
+    if (event != Event::StartTag) continue;
+    if (!have_param && p.local_name() == "param") {
+      have_param = true;
+      value = xmlrpc::parse_param_pull(p);
+    } else {
+      p.skip_element();
+    }
+  }
+  if (!have_param) throw ParseError("SOAP response missing <param>");
+  if (!value) throw ParseError("SOAP response <param> missing <value>");
+  return Response::success(std::move(*value));
 }
 
 }  // namespace
@@ -54,19 +90,41 @@ std::string serialize_request(const Request& request) {
   return std::string(out.peek_view());
 }
 
-Request parse_request(std::string_view body_text) {
-  XmlSlice root = xml_parse_slices(body_text);
-  const XmlSlice* body = find_body(root);
-  if (body->children.empty()) throw ParseError("SOAP Body is empty");
-  const XmlSlice& call = body->children.front();
-  Request request;
-  request.method = std::string(call.local_name());
-  for (const auto& param : call.children) {
-    if (param.local_name() != "param") continue;
-    const XmlSlice* value = param.child("value");
-    if (!value) throw ParseError("SOAP <param> missing <value>");
-    request.params.push_back(xmlrpc::parse_value_xml(*value));
+std::string_view locate_call(XmlPullParser& p) {
+  p.next();  // root StartTag, or throws
+  if (p.local_name() != "Envelope") {
+    throw ParseError("SOAP document root must be Envelope");
   }
+  for (;;) {  // to <Body>, past any <Header>
+    Event event = p.next();
+    if (event == Event::EndTag) throw ParseError("SOAP Envelope missing Body");
+    if (event != Event::StartTag) continue;
+    if (p.local_name() == "Body") break;
+    p.skip_element();
+  }
+  Event event = p.next();
+  while (event == Event::Text) event = p.next();
+  if (event != Event::StartTag) throw ParseError("SOAP Body is empty");
+  return p.local_name();
+}
+
+Request parse_request(std::string_view body) {
+  XmlPullParser p(body);
+  Request request;
+  // Method names contain dots (file.read); XML element names may contain
+  // dots too, so they pass through unmodified.
+  request.method = std::string(locate_call(p));
+  for (Event event = p.next(); event != Event::EndTag; event = p.next()) {
+    if (event != Event::StartTag) continue;
+    if (p.local_name() != "param") {
+      p.skip_element();
+      continue;
+    }
+    std::optional<Value> value = xmlrpc::parse_param_pull(p);
+    if (!value) throw ParseError("SOAP <param> missing <value>");
+    request.params.push_back(std::move(*value));
+  }
+  drain(p);
   return request;
 }
 
@@ -92,28 +150,12 @@ std::string serialize_response(const Response& response) {
   return std::string(out.peek_view());
 }
 
-Response parse_response(std::string_view body_text) {
-  XmlSlice root = xml_parse_slices(body_text);
-  const XmlSlice* body = find_body(root);
-  if (body->children.empty()) throw ParseError("SOAP Body is empty");
-  const XmlSlice& payload = body->children.front();
-  if (payload.local_name() == "Fault") {
-    const XmlSlice* code = payload.child("faultcode");
-    const XmlSlice* message = payload.child("faultstring");
-    if (!code || !message) throw ParseError("SOAP Fault missing fields");
-    Response response;
-    response.is_fault = true;
-    std::string code_text = code->text();
-    response.fault_code =
-        static_cast<int>(util::parse_int(util::trim(code_text)));
-    response.fault_message = message->text();
-    return response;
-  }
-  const XmlSlice* param = payload.child("param");
-  if (!param) throw ParseError("SOAP response missing <param>");
-  const XmlSlice* value = param->child("value");
-  if (!value) throw ParseError("SOAP response <param> missing <value>");
-  return Response::success(xmlrpc::parse_value_xml(*value));
+Response parse_response(std::string_view body) {
+  XmlPullParser p(body);
+  Response response =
+      locate_call(p) == "Fault" ? parse_fault(p) : parse_result(p);
+  drain(p);
+  return response;
 }
 
 }  // namespace clarens::rpc::soap

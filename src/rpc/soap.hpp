@@ -17,6 +17,13 @@ namespace clarens::rpc::soap {
 void serialize_request(const Request& request, util::Buffer& out);
 void serialize_response(const Response& response, util::Buffer& out);
 
+/// The locating step parse_request, parse_response and rpc::peek_method
+/// share: reads the <Envelope> StartTag, skips to <Body> (past any
+/// <Header>) and reads the first element inside it — the method element
+/// of a request, Response or Fault of a response. Returns its local name
+/// (a view into the parsed text). Throws ParseError otherwise.
+std::string_view locate_call(XmlPullParser& parser);
+
 std::string serialize_request(const Request& request);
 Request parse_request(std::string_view body);
 

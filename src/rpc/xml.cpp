@@ -100,47 +100,12 @@ void unescape_append(std::string& out, std::string_view raw) {
   }
 }
 
-/// Decode only when an ampersand is actually present.
-void maybe_unescape_append(std::string& out, std::string_view raw) {
-  if (raw.find('&') == std::string_view::npos) {
-    out.append(raw);
-  } else {
-    unescape_append(out, raw);
-  }
-}
-
 std::string_view strip_prefix(std::string_view tag) {
   std::size_t colon = tag.find(':');
   return colon == std::string_view::npos ? tag : tag.substr(colon + 1);
 }
 
 }  // namespace
-
-std::string XmlNode::local_name() const {
-  return std::string(strip_prefix(tag));
-}
-
-const XmlNode* XmlNode::child(std::string_view local) const {
-  for (const auto& c : children) {
-    if (strip_prefix(c.tag) == local) return &c;
-  }
-  return nullptr;
-}
-
-std::vector<const XmlNode*> XmlNode::children_named(std::string_view local) const {
-  std::vector<const XmlNode*> out;
-  for (const auto& c : children) {
-    if (strip_prefix(c.tag) == local) out.push_back(&c);
-  }
-  return out;
-}
-
-std::string XmlNode::attribute(std::string_view name) const {
-  for (const auto& [k, v] : attributes) {
-    if (k == name) return v;
-  }
-  return "";
-}
 
 std::string xml_escape(std::string_view text) {
   std::size_t first = text.find_first_of(kXmlSpecial);
@@ -254,8 +219,8 @@ std::string_view XmlPullParser::parse_name() {
 XmlPullParser::Event XmlPullParser::parse_start_tag() {
   ++pos_;  // the '<' both call sites already matched
   name_ = parse_name();
-  // The tree builders (fill_node, parse_value_into, ...) recurse once per
-  // open element, so unbounded depth is a stack-overflow vector for
+  // The value decoders (parse_value_into) recurse once per nested value,
+  // so unbounded depth is a stack-overflow vector for
   // attacker-supplied documents. RPC payloads nest values, not documents:
   // 128 is far beyond anything a legitimate envelope produces.
   if (open_tags_.size() >= kMaxDepth) fail("element nesting too deep");
@@ -387,116 +352,32 @@ void XmlPullParser::text_append(std::string& out) const {
   }
 }
 
-// ---------- slice tree ----------
-
-std::string_view XmlSlice::local_name() const { return strip_prefix(tag); }
-
-const XmlSlice* XmlSlice::child(std::string_view local) const {
-  for (const auto& c : children) {
-    if (c.local_name() == local) return &c;
+void XmlPullParser::skip_element() {
+  for (std::size_t depth = 1; depth > 0;) {
+    switch (next()) {
+      case Event::StartTag: ++depth; break;
+      case Event::EndTag: --depth; break;
+      default: break;
+    }
   }
-  return nullptr;
 }
 
-bool XmlSlice::text_is_view() const {
-  return text_segments.empty() ||
-         (text_segments.size() == 1 && !text_segments[0].escaped);
-}
-
-std::string_view XmlSlice::text_view() const {
-  return text_segments.empty() ? std::string_view() : text_segments[0].raw;
-}
-
-std::string XmlSlice::text() const {
+std::string XmlPullParser::element_text() {
   std::string out;
-  for (const TextSeg& seg : text_segments) {
-    if (seg.escaped) {
-      unescape_append(out, seg.raw);
-    } else {
-      out.append(seg.raw);
-    }
-  }
-  return out;
-}
-
-std::string XmlSlice::attribute(std::string_view name) const {
-  for (const auto& [k, v] : attributes) {
-    if (k == name) {
-      std::string out;
-      maybe_unescape_append(out, v);
-      return out;
-    }
-  }
-  return "";
-}
-
-namespace {
-
-void fill_slice(XmlSlice& node, XmlPullParser& parser) {
-  node.tag = parser.name();
-  node.attributes = parser.attributes();
   for (;;) {
-    switch (parser.next()) {
-      case XmlPullParser::Event::StartTag:
-        fill_slice(node.children.emplace_back(), parser);
+    switch (next()) {
+      case Event::Text:
+        text_append(out);
         break;
-      case XmlPullParser::Event::Text:
-        node.text_segments.push_back(
-            {parser.text_raw(), parser.text_needs_unescape()});
-        break;
-      case XmlPullParser::Event::EndTag:
-        return;
-      case XmlPullParser::Event::Eof:
-        return;  // unreachable: the parser throws on unterminated elements
+      case Event::EndTag:
+        return out;
+      case Event::StartTag:
+        fail("unexpected element <" + std::string(name_) +
+             "> in text-only content");
+      case Event::Eof:
+        fail("unexpected end of document");
     }
   }
-}
-
-void fill_node(XmlNode& node, XmlPullParser& parser) {
-  node.tag = std::string(parser.name());
-  for (const auto& [k, v] : parser.attributes()) {
-    std::string value;
-    maybe_unescape_append(value, v);
-    node.attributes.emplace_back(std::string(k), std::move(value));
-  }
-  for (;;) {
-    switch (parser.next()) {
-      case XmlPullParser::Event::StartTag:
-        fill_node(node.children.emplace_back(), parser);
-        break;
-      case XmlPullParser::Event::Text:
-        if (parser.text_needs_unescape()) {
-          unescape_append(node.text, parser.text_raw());
-        } else {
-          node.text.append(parser.text_raw());
-        }
-        break;
-      case XmlPullParser::Event::EndTag:
-        return;
-      case XmlPullParser::Event::Eof:
-        return;  // unreachable
-    }
-  }
-}
-
-}  // namespace
-
-XmlSlice xml_parse_slices(std::string_view text) {
-  XmlPullParser parser(text);
-  parser.next();  // StartTag of the root, or throws
-  XmlSlice root;
-  fill_slice(root, parser);
-  parser.next();  // enforces no trailing content
-  return root;
-}
-
-XmlNode xml_parse(std::string_view text) {
-  XmlPullParser parser(text);
-  parser.next();
-  XmlNode root;
-  fill_node(root, parser);
-  parser.next();
-  return root;
 }
 
 // ---------- writer ----------

@@ -1,17 +1,16 @@
 // Minimal XML reader/writer covering the subset XML-RPC and SOAP 1.1
 // payloads use: prolog, comments, elements with attributes, character
 // data with the five predefined entities, CDATA sections. No DTDs,
-// processing instructions beyond the prolog, or namespaces resolution
-// (namespace prefixes are kept verbatim in tag names; helpers strip them).
+// processing instructions beyond the prolog, or namespace resolution
+// (namespace prefixes are kept verbatim in tag names; local_name()
+// strips them).
 //
-// Two parsing front ends share one tokenizer:
-//   * XmlPullParser — streaming events over the input string_view, zero
-//     allocation per token; the XML-RPC codec builds rpc::Value directly
-//     from it without materializing a tree.
-//   * xml_parse_slices — an XmlSlice tree whose tags/attributes/text are
-//     string_views into the caller's buffer (which must outlive the
-//     tree); entity decoding is deferred until text()/attribute() ask
-//     for it. xml_parse keeps the legacy owned-string XmlNode tree.
+// XmlPullParser is the only XML reader: it streams events over the
+// input string_view with no allocation per token, and every consumer
+// (the XML-RPC and SOAP codecs, the baseline's descriptor scan) builds
+// what it needs straight from those events — there is no document tree.
+// Text and attribute views alias the caller's buffer; entity decoding
+// happens only when text() / text_append() ask for it.
 #pragma once
 
 #include <string>
@@ -22,55 +21,6 @@
 #include "util/buffer.hpp"
 
 namespace clarens::rpc {
-
-struct XmlNode {
-  std::string tag;  // as written, possibly with "ns:" prefix
-  std::vector<std::pair<std::string, std::string>> attributes;
-  std::string text;  // concatenated character data directly inside
-  std::vector<XmlNode> children;
-
-  /// Tag with any namespace prefix removed.
-  std::string local_name() const;
-
-  /// First child with the given local name; nullptr if absent.
-  const XmlNode* child(std::string_view local) const;
-
-  /// All children with the given local name.
-  std::vector<const XmlNode*> children_named(std::string_view local) const;
-
-  std::string attribute(std::string_view name) const;
-};
-
-/// Parse a document; returns the root element. Throws clarens::ParseError.
-XmlNode xml_parse(std::string_view text);
-
-/// Slice-based node: every string_view points into the parsed input,
-/// which must outlive the tree. Entities stay encoded until asked for.
-struct XmlSlice {
-  std::string_view tag;
-  /// Attribute values are raw (entities undecoded); use attribute().
-  std::vector<std::pair<std::string_view, std::string_view>> attributes;
-  struct TextSeg {
-    std::string_view raw;
-    bool escaped;  // may contain entity references (false for CDATA)
-  };
-  std::vector<TextSeg> text_segments;  // character data in document order
-  std::vector<XmlSlice> children;
-
-  std::string_view local_name() const;
-  const XmlSlice* child(std::string_view local) const;
-
-  /// True when the character data is a single entity-free run, i.e.
-  /// text_view() is valid and no decode copy is needed.
-  bool text_is_view() const;
-  std::string_view text_view() const;  // only valid when text_is_view()
-  /// Decoded character data; copies only when entities/CDATA force it.
-  std::string text() const;
-  std::string attribute(std::string_view name) const;  // decoded
-};
-
-/// Parse a document into slices backed by `text`. Throws ParseError.
-XmlSlice xml_parse_slices(std::string_view text);
 
 /// Streaming pull parser. Usage:
 ///   XmlPullParser p(body);
@@ -83,7 +33,7 @@ class XmlPullParser {
   enum class Event { StartTag, EndTag, Text, Eof };
 
   /// Maximum open-element depth; deeper documents throw ParseError. The
-  /// consumers build trees with one stack frame per level, so this bound
+  /// value decoders recurse once per nested value, so this bound
   /// is what keeps a nesting bomb from overflowing the stack.
   static constexpr std::size_t kMaxDepth = 128;
 
@@ -106,6 +56,12 @@ class XmlPullParser {
   attributes() const {
     return attributes_;
   }
+
+  /// Consume events through the EndTag matching the StartTag just read.
+  void skip_element();
+  /// Decoded character data of the element whose StartTag was just read,
+  /// consuming through its EndTag; a child element throws ParseError.
+  std::string element_text();
 
   /// Byte offset of the parse cursor (for error messages).
   std::size_t offset() const { return pos_; }

@@ -84,37 +84,6 @@ double parse_double(std::string_view text) {
   return v;
 }
 
-/// Consume events until the EndTag matching the StartTag just read.
-void skip_subtree(XmlPullParser& p) {
-  int depth = 1;
-  while (depth > 0) {
-    switch (p.next()) {
-      case Event::StartTag: ++depth; break;
-      case Event::EndTag: --depth; break;
-      default: break;
-    }
-  }
-}
-
-/// Character data of the current element (decoded), up to its EndTag.
-std::string collect_text(XmlPullParser& p) {
-  std::string out;
-  for (;;) {
-    switch (p.next()) {
-      case Event::Text:
-        p.text_append(out);
-        break;
-      case Event::EndTag:
-        return out;
-      case Event::StartTag:
-        throw ParseError("unexpected element <" + std::string(p.name()) +
-                         "> inside scalar XML-RPC value");
-      case Event::Eof:
-        throw ParseError("unexpected end of document");
-    }
-  }
-}
-
 void parse_value_into(XmlPullParser& p, Value& out);
 
 Value parse_array_pull(XmlPullParser& p) {
@@ -151,7 +120,7 @@ Value parse_array_pull(XmlPullParser& p) {
             }
           }
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:
@@ -175,11 +144,11 @@ void parse_member_pull(XmlPullParser& p, Value& out) {
         return;
       case Event::StartTag:
         if (!name && p.local_name() == "name") {
-          name = collect_text(p);
+          name = p.element_text();
         } else if (!value && p.local_name() == "value") {
           value = parse_value_pull(p);
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:
@@ -200,7 +169,7 @@ Value parse_struct_pull(XmlPullParser& p) {
         if (p.local_name() == "member") {
           parse_member_pull(p, out);
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:
@@ -215,12 +184,12 @@ Value parse_struct_pull(XmlPullParser& p) {
 Value parse_typed_pull(XmlPullParser& p, std::string_view tag) {
   switch (tag.empty() ? '\0' : tag.front()) {
     case 's':
-      if (tag == "string") return Value(collect_text(p));
+      if (tag == "string") return Value(p.element_text());
       if (tag == "struct") return parse_struct_pull(p);
       break;
     case 'i':
       if (tag == "int" || tag == "i4" || tag == "i8") {
-        std::string text = collect_text(p);
+        std::string text = p.element_text();
         return Value(util::parse_int(util::trim(text)));
       }
       break;
@@ -229,30 +198,30 @@ Value parse_typed_pull(XmlPullParser& p, std::string_view tag) {
       break;
     case 'b':
       if (tag == "boolean") {
-        std::string text = collect_text(p);
+        std::string text = p.element_text();
         std::string_view t = util::trim(text);
         if (t == "1" || t == "true") return Value(true);
         if (t == "0" || t == "false") return Value(false);
         throw ParseError("invalid XML-RPC boolean: '" + text + "'");
       }
       if (tag == "base64") {
-        std::string text = collect_text(p);
+        std::string text = p.element_text();
         return Value(util::base64_decode(text));
       }
       break;
     case 'd':
       if (tag == "double") {
-        std::string text = collect_text(p);
+        std::string text = p.element_text();
         return Value(parse_double(util::trim(text)));
       }
       if (tag == "dateTime.iso8601") {
-        std::string text = collect_text(p);
+        std::string text = p.element_text();
         return Value(DateTime{util::parse_iso8601(std::string(util::trim(text)))});
       }
       break;
     case 'n':
       if (tag == "nil") {
-        collect_text(p);
+        p.element_text();
         return Value::nil();
       }
       break;
@@ -260,29 +229,6 @@ Value parse_typed_pull(XmlPullParser& p, std::string_view tag) {
       break;
   }
   throw ParseError("unknown XML-RPC value type: <" + std::string(tag) + ">");
-}
-
-/// First <value> child of the current element, if any; consumes through
-/// the element's EndTag.
-std::optional<Value> parse_param_value(XmlPullParser& p) {
-  std::optional<Value> value;
-  for (;;) {
-    switch (p.next()) {
-      case Event::Text:
-        break;
-      case Event::EndTag:
-        return value;
-      case Event::StartTag:
-        if (!value && p.local_name() == "value") {
-          value = parse_value_pull(p);
-        } else {
-          skip_subtree(p);
-        }
-        break;
-      case Event::Eof:
-        throw ParseError("unexpected end of document");
-    }
-  }
 }
 
 void parse_params_pull(XmlPullParser& p, std::vector<Value>& out) {
@@ -294,11 +240,11 @@ void parse_params_pull(XmlPullParser& p, std::vector<Value>& out) {
         return;
       case Event::StartTag:
         if (p.local_name() == "param") {
-          std::optional<Value> value = parse_param_value(p);
+          std::optional<Value> value = parse_param_pull(p);
           if (!value) throw ParseError("<param> missing <value>");
           out.push_back(std::move(*value));
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:
@@ -308,7 +254,7 @@ void parse_params_pull(XmlPullParser& p, std::vector<Value>& out) {
 }
 
 Response parse_fault_pull(XmlPullParser& p) {
-  std::optional<Value> fault_value = parse_param_value(p);
+  std::optional<Value> fault_value = parse_param_pull(p);
   if (!fault_value) throw ParseError("<fault> missing <value>");
   Response response;
   response.is_fault = true;
@@ -331,9 +277,9 @@ Response parse_response_params_pull(XmlPullParser& p) {
       case Event::StartTag:
         if (!have_param) {
           have_param = true;
-          value = parse_param_value(p);
+          value = parse_param_pull(p);
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:
@@ -341,10 +287,6 @@ Response parse_response_params_pull(XmlPullParser& p) {
     }
   }
 }
-
-}  // namespace
-
-namespace {
 
 // In-place variant of parse_value_pull: assigns into `out` so array and
 // struct parsing build elements directly in their containers instead of
@@ -364,7 +306,7 @@ void parse_value_into(XmlPullParser& p, Value& out) {
           typed = true;
           out = parse_typed_pull(p, p.local_name());
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::EndTag:
@@ -384,65 +326,27 @@ Value parse_value_pull(XmlPullParser& p) {
   return result;
 }
 
-Value parse_value_xml(const XmlSlice& value_node) {
-  // A bare <value>text</value> is a string per the XML-RPC spec.
-  if (value_node.children.empty()) {
-    return Value(value_node.text());
-  }
-  const XmlSlice& typed = value_node.children.front();
-  std::string_view tag = typed.local_name();
-  if (tag == "nil") return Value::nil();
-  if (tag == "boolean") {
-    std::string text = typed.text();
-    std::string_view t = util::trim(text);
-    if (t == "1" || t == "true") return Value(true);
-    if (t == "0" || t == "false") return Value(false);
-    throw ParseError("invalid XML-RPC boolean: '" + text + "'");
-  }
-  if (tag == "int" || tag == "i4" || tag == "i8") {
-    std::string text = typed.text();
-    return Value(util::parse_int(util::trim(text)));
-  }
-  if (tag == "double") {
-    std::string text = typed.text();
-    return Value(parse_double(util::trim(text)));
-  }
-  if (tag == "string") return Value(typed.text());
-  if (tag == "base64") {
-    if (typed.text_is_view()) return Value(util::base64_decode(typed.text_view()));
-    return Value(util::base64_decode(typed.text()));
-  }
-  if (tag == "dateTime.iso8601") {
-    std::string text = typed.text();
-    return Value(DateTime{util::parse_iso8601(std::string(util::trim(text)))});
-  }
-  if (tag == "array") {
-    const XmlSlice* data = typed.child("data");
-    if (!data) throw ParseError("XML-RPC array missing <data>");
-    Value out = Value::array();
-    for (const auto& child : data->children) {
-      if (child.local_name() != "value") {
-        throw ParseError("XML-RPC array <data> may only contain <value>");
-      }
-      out.push(parse_value_xml(child));
+std::optional<Value> parse_param_pull(XmlPullParser& p) {
+  std::optional<Value> value;
+  for (;;) {
+    switch (p.next()) {
+      case Event::Text:
+        break;
+      case Event::EndTag:
+        return value;
+      case Event::StartTag:
+        if (!value && p.local_name() == "value") {
+          value = parse_value_pull(p);
+        } else {
+          p.skip_element();
+        }
+        break;
+      case Event::Eof:
+        throw ParseError("unexpected end of document");
     }
-    return out;
   }
-  if (tag == "struct") {
-    Value out = Value::struct_();
-    for (const auto& member : typed.children) {
-      if (member.local_name() != "member") continue;
-      const XmlSlice* name = member.child("name");
-      const XmlSlice* value = member.child("value");
-      if (!name || !value) {
-        throw ParseError("XML-RPC struct member missing name or value");
-      }
-      out.set(name->text(), parse_value_xml(*value));
-    }
-    return out;
-  }
-  throw ParseError("unknown XML-RPC value type: <" + std::string(tag) + ">");
 }
+
 
 void serialize_value(const Value& value, util::Buffer& out) {
   XmlWriter w(out);
@@ -474,14 +378,32 @@ std::string serialize_request(const Request& request) {
   return std::string(out.peek_view());
 }
 
-Request parse_request(std::string_view body) {
-  XmlPullParser p(body);
+std::string locate_method(XmlPullParser& p) {
   p.next();  // root StartTag, or throws
   if (p.local_name() != "methodCall") {
     throw ParseError("expected <methodCall>, got <" + std::string(p.name()) + ">");
   }
+  // The spec writes <methodName> first. Taking the first element, not
+  // the first <methodName> anywhere, leaves no subtree a decoy can hide in.
+  Event event = p.next();
+  while (event == Event::Text) event = p.next();
+  if (event != Event::StartTag) {
+    throw ParseError("methodCall missing <methodName>");
+  }
+  if (p.local_name() != "methodName") {
+    throw ParseError("methodCall must open with <methodName>, got <" +
+                     std::string(p.name()) + ">");
+  }
+  std::string text = p.element_text();
+  std::string_view name = util::trim(text);
+  if (name.empty()) throw ParseError("empty methodName");
+  return name.size() == text.size() ? text : std::string(name);
+}
+
+Request parse_request(std::string_view body) {
+  XmlPullParser p(body);
   Request request;
-  bool saw_method = false;
+  request.method = locate_method(p);
   bool saw_params = false;
   for (bool done = false; !done;) {
     switch (p.next()) {
@@ -491,15 +413,11 @@ Request parse_request(std::string_view body) {
         done = true;
         break;
       case Event::StartTag:
-        if (!saw_method && p.local_name() == "methodName") {
-          saw_method = true;
-          std::string text = collect_text(p);
-          request.method = std::string(util::trim(text));
-        } else if (!saw_params && p.local_name() == "params") {
+        if (!saw_params && p.local_name() == "params") {
           saw_params = true;
           parse_params_pull(p, request.params);
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:
@@ -507,8 +425,6 @@ Request parse_request(std::string_view body) {
     }
   }
   p.next();  // enforce no trailing content
-  if (!saw_method) throw ParseError("methodCall missing <methodName>");
-  if (request.method.empty()) throw ParseError("empty methodName");
   return request;
 }
 
@@ -557,7 +473,7 @@ Response parse_response(std::string_view body) {
         } else if (!response && p.local_name() == "params") {
           response = parse_response_params_pull(p);
         } else {
-          skip_subtree(p);
+          p.skip_element();
         }
         break;
       case Event::Eof:

@@ -7,6 +7,7 @@
 // (typically the connection's reusable response arena).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 
 namespace clarens::rpc {
 
-struct XmlSlice;
 class XmlPullParser;
 
 struct Request {
@@ -58,17 +58,24 @@ Request parse_request(std::string_view body);
 std::string serialize_response(const Response& response);
 Response parse_response(std::string_view body);
 
+/// The method-locating step parse_request and rpc::peek_method share:
+/// reads the <methodCall> StartTag and its first child element, which
+/// must be a non-empty <methodName>, and returns the decoded, trimmed
+/// name. Throws ParseError otherwise.
+std::string locate_method(XmlPullParser& parser);
+
 /// Single <value> element encoding/decoding (shared with SOAP's
 /// XML-RPC-compatible value payloads).
 std::string serialize_value(const Value& value);
 void serialize_value(const Value& value, util::Buffer& out);
 
-/// Decode a <value> slice node (SOAP rides on these).
-Value parse_value_xml(const XmlSlice& value_node);
-
 /// Decode a <value> from a pull parser positioned just past the
 /// StartTag("value") event; consumes through the matching EndTag.
 Value parse_value_pull(XmlPullParser& parser);
+
+/// Decode the first <value> child of the element whose StartTag was just
+/// read (a <param>), consuming through its EndTag; nullopt when absent.
+std::optional<Value> parse_param_pull(XmlPullParser& parser);
 
 }  // namespace xmlrpc
 }  // namespace clarens::rpc

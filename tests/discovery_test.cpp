@@ -256,10 +256,14 @@ TEST(Discovery, QueryStationsSlowPathMatchesFastPath) {
 TEST(Discovery, PeriodicPublisherRefreshesHeartbeat) {
   StationServer station;
   Publisher publisher("127.0.0.1", station.port());
-  publisher.set_records({make_record("n", "file")});
-  publisher.start_periodic(50);
+  int builds = 0;
+  publisher.start_periodic(50, [&builds] {
+    ++builds;
+    return std::vector<ServiceRecord>{make_record("n", "file")};
+  });
   ASSERT_TRUE(eventually([&] { return station.publish_count() >= 3; }));
   publisher.stop();
+  EXPECT_GE(builds, 3);  // the record set is rebuilt for every publish
   auto count = station.publish_count();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_LE(station.publish_count(), count + 1);  // stopped publishing

@@ -1,6 +1,6 @@
-// Unit tests for the federation layer (ISSUE 8): consistent-hash
-// placement, node tickets, the discovery-fed router, the redirect
-// envelope, and the per-node client pool.
+// Unit tests for the federation layer: consistent-hash placement, node
+// tickets, the discovery-fed router, the redirect envelope, the per-node
+// client pool, and a head's file.* fallback when no storage node is up.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -8,7 +8,9 @@
 #include <set>
 #include <thread>
 
+#include "client/client.hpp"
 #include "client/peer_pool.hpp"
+#include "core/server.hpp"
 #include "db/store.hpp"
 #include "discovery/discovery_server.hpp"
 #include "discovery/publisher.hpp"
@@ -17,6 +19,8 @@
 #include "federation/placement.hpp"
 #include "federation/router.hpp"
 #include "rpc/binding.hpp"
+#include "rpc/fault.hpp"
+#include "test_fixtures.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
 
@@ -373,6 +377,119 @@ TEST(Router, BuildsRingFromStorageRecordsOnly) {
                                      util::unix_now());
   ASSERT_TRUE(verified.has_value());
   EXPECT_TRUE(verified->write);
+}
+
+/// A file.* call's outcome with every "mtime" member dropped (two servers
+/// write the same files a moment apart).
+struct Outcome {
+  int fault = 0;  // fault code; 0 = success
+  rpc::Value value;
+  bool operator==(const Outcome&) const = default;
+};
+
+rpc::Value without_mtime(const rpc::Value& value) {
+  if (value.is_struct()) {
+    rpc::Value out = rpc::Value::struct_();
+    for (const auto& [name, member] : value.members()) {
+      if (name != "mtime") out.set(name, without_mtime(member));
+    }
+    return out;
+  }
+  if (value.type() == rpc::Value::Type::Array) {
+    rpc::Value out = rpc::Value::array();
+    for (const auto& item : value.as_array()) out.push(without_mtime(item));
+    return out;
+  }
+  return value;
+}
+
+Outcome call(client::ClarensClient& client, const std::string& method,
+             const std::vector<rpc::Value>& params) {
+  try {
+    return {0, without_mtime(client.call(method, params))};
+  } catch (const rpc::Fault& fault) {
+    return {fault.code(), {}};
+  }
+}
+
+TEST(HeadFallback, EmptyRingAnswersEveryFileMethodLikeAStandaloneServer) {
+  const testing::TestPki& pki = testing::TestPki::instance();
+  testing::TempDir tmp;
+  auto config = [&pki, &tmp](core::NodeRole role, const std::string& dir) {
+    core::ClarensConfig c;
+    c.trust = pki.trust;
+    core::AclSpec anyone;
+    anyone.allow_dns = {core::AclSpec::kAnyone};
+    c.initial_method_acls = {{"system", anyone}, {"file", anyone}};
+    core::FileAcl facl;
+    facl.read = anyone;
+    facl.write = anyone;
+    c.initial_file_acls = {{"/data", facl}};
+    c.file_roots = {{"/data", tmp.sub(dir)}};
+    c.node_role = role;
+    c.node_ticket_secret = "super-secret-cluster-key";
+    return c;
+  };
+  core::ClarensServer standalone(config(core::NodeRole::Standalone, "alone"));
+  standalone.start();
+  // A head with discovery attached and no storage node: an empty ring.
+  db::Store store;
+  discovery::DiscoveryServer discovery(store, /*record_ttl=*/60);
+  core::ClarensServer head(config(core::NodeRole::Head, "head"));
+  head.attach_discovery(discovery);
+  head.start();
+  ASSERT_NE(head.router(), nullptr);
+  ASSERT_TRUE(head.router()->storage_nodes().empty());
+
+  auto connect = [&pki](std::uint16_t port) {
+    client::ClientOptions options;
+    options.port = port;
+    options.credential = pki.bob;
+    options.trust = &pki.trust;
+    auto c = std::make_unique<client::ClarensClient>(options);
+    c->connect();
+    c->authenticate();
+    return c;
+  };
+  auto alone_client = connect(standalone.port());
+  auto head_client = connect(head.port());
+
+  const rpc::Value file("/data/run1/a.txt");
+  const rpc::Value hello(std::vector<std::uint8_t>{'h', 'i'});
+  const std::vector<std::pair<std::string, std::vector<rpc::Value>>> calls = {
+      {"file.roots", {}},
+      {"file.mkdir", {rpc::Value("/data/run1")}},
+      {"file.write", {file, hello}},
+      {"file.append", {file, hello}},
+      {"file.read", {file, rpc::Value(0), rpc::Value(100)}},
+      {"file.read", {file, rpc::Value(1), rpc::Value(2)}},
+      {"file.stat", {file}},
+      {"file.stat", {rpc::Value("/data/run1")}},
+      {"file.ls", {rpc::Value("/data")}},
+      {"file.ls", {rpc::Value("/data/run1")}},
+      {"file.md5", {file}},
+      {"file.size", {file}},
+      {"file.checksum", {file}},
+      {"file.find", {rpc::Value("/data"), rpc::Value("a.t")}},
+      {"file.rm", {file}},
+      {"file.stat", {file}},
+      {"file.read", {file, rpc::Value(0), rpc::Value(1)}},
+      {"file.md5", {rpc::Value("/elsewhere/x")}},
+      {"file.ls", {rpc::Value("/data/missing")}},
+      {"file.rm", {rpc::Value("/data/run1")}},
+      {"file.find", {rpc::Value("/data"), rpc::Value("a.t")}},
+  };
+  int succeeded = 0;
+  for (const auto& [method, params] : calls) {
+    Outcome expected = call(*alone_client, method, params);
+    Outcome actual = call(*head_client, method, params);
+    EXPECT_EQ(actual, expected) << method << " (fault " << actual.fault
+                                << " vs " << expected.fault << ")";
+    if (expected.fault == 0) ++succeeded;
+  }
+  EXPECT_GE(succeeded, 15);
+  head.stop();
+  standalone.stop();
 }
 
 }  // namespace

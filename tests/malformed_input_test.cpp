@@ -14,6 +14,7 @@
 
 #include "rpc/binrpc.hpp"
 #include "rpc/jsonrpc.hpp"
+#include "rpc/soap.hpp"
 #include "rpc/xml.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "util/error.hpp"
@@ -96,8 +97,10 @@ TEST(MalformedXml, NestingBombThrowsInsteadOfOverflowing) {
   for (int i = 0; i < 200000; ++i) bomb += "<a>";
   rpc::XmlPullParser parser{bomb};
   EXPECT_THROW(drain(parser), ParseError);
-  EXPECT_THROW(rpc::xml_parse(bomb), ParseError);
-  EXPECT_THROW(rpc::xml_parse_slices(bomb), ParseError);
+  // Skipping an element walks the same depth-capped events.
+  rpc::XmlPullParser skipper{bomb};
+  skipper.next();
+  EXPECT_THROW(skipper.skip_element(), ParseError);
 }
 
 TEST(MalformedXml, DepthJustUnderTheCapStillParses) {
@@ -106,8 +109,9 @@ TEST(MalformedXml, DepthJustUnderTheCapStillParses) {
   for (std::size_t i = 0; i < depth; ++i) doc += "<a>";
   doc += "x";
   for (std::size_t i = 0; i < depth; ++i) doc += "</a>";
-  rpc::XmlNode root = rpc::xml_parse(doc);
-  EXPECT_EQ(root.tag, "a");
+  rpc::XmlPullParser parser{doc};
+  EXPECT_NO_THROW(drain(parser));
+  EXPECT_EQ(parser.name(), "a");  // the root's EndTag came last
 }
 
 TEST(MalformedXml, XmlRpcNestedArrayBomb) {
@@ -117,6 +121,18 @@ TEST(MalformedXml, XmlRpcNestedArrayBomb) {
   for (int i = 0; i < 100000; ++i) bomb += "</data></array></value>";
   bomb += "</param></params></methodCall>";
   EXPECT_THROW(rpc::xmlrpc::parse_request(bomb), ParseError);
+}
+
+TEST(MalformedXml, SoapNestedArrayBomb) {
+  // SOAP params decode through the XML-RPC value decoder, which recurses
+  // once per nested value: kMaxDepth is what stops this one too.
+  std::string bomb =
+      "<SOAP-ENV:Envelope><SOAP-ENV:Body><m:m><param>";
+  for (int i = 0; i < 100000; ++i) bomb += "<value><array><data>";
+  bomb += "<value><int>1</int></value>";
+  for (int i = 0; i < 100000; ++i) bomb += "</data></array></value>";
+  bomb += "</param></m:m></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+  EXPECT_THROW(rpc::soap::parse_request(bomb), ParseError);
 }
 
 // --- XML-RPC: bad base64 ----------------------------------------------

@@ -2,7 +2,10 @@
 //  * arbitrary Value trees survive every wire codec;
 //  * DN parse/render is idempotent;
 //  * BigInt arithmetic satisfies ring identities;
-//  * codecs (hex/base64/XML escaping) round-trip arbitrary bytes/text.
+//  * codecs (hex/base64/XML escaping) round-trip arbitrary bytes/text;
+//  * the inline-dispatch method peek never names a method other than
+//    the one the parser dispatches, on any codec, under truncation and
+//    decoy insertion.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,6 +15,7 @@
 #include "pki/dn.hpp"
 #include "rpc/binrpc.hpp"
 #include "rpc/jsonrpc.hpp"
+#include "rpc/protocol.hpp"
 #include "rpc/soap.hpp"
 #include "rpc/xml.hpp"
 #include "rpc/xmlrpc.hpp"
@@ -116,6 +120,99 @@ TEST(ValueRoundTrip, CrossCodecChain) {
     EXPECT_EQ(r.result, original) << "trial " << trial;
   }
 }
+
+// ---------- method peek vs parser ----------
+
+struct PeekCodec {
+  rpc::Protocol protocol;
+  /// Text that may name a cheap method without being the call's method.
+  std::vector<std::string> decoys;
+  /// Insertion points: after any of these bytes ("" = anywhere).
+  std::string_view after;
+};
+
+std::vector<PeekCodec> peek_codecs() {
+  const std::vector<std::string> xml_decoys = {
+      "<!--<methodName>system.list_methods</methodName>-->",
+      "<methodName>system.list_methods</methodName>",
+      "<x><methodName>echo.echo</methodName></x>",
+      "<m:system.list_methods/>",
+      "<SOAP-ENV:Header><m:echo.echo/></SOAP-ENV:Header>",
+      "<param><value><methodName>echo.echo</methodName></value></param>",
+      "<![CDATA[<methodName>echo.echo</methodName>]]>",
+      "system.ping",
+  };
+  std::string bin_decoy = {4, 0, 0, 0, 11};
+  bin_decoy += "echo.echo.x";
+  return {
+      {rpc::Protocol::XmlRpc, xml_decoys, ">"},
+      {rpc::Protocol::Soap, xml_decoys, ">"},
+      {rpc::Protocol::JsonRpc,
+       {R"("method":"system.list_methods",)", R"({"method":"echo.echo"},)",
+        R"("\u006dethod":"echo.echo",)", R"("method":"echo.echo")",
+        R"(["method","echo.echo"],)", R"("x":"\"method\":\"echo.echo\"",)"},
+       "{[,"},
+      {rpc::Protocol::Binary, {bin_decoy, std::string(1, '\0')}, ""},
+  };
+}
+
+class PeekAgreesWithParser : public ::testing::TestWithParam<int> {};
+
+TEST_P(PeekAgreesWithParser, OnEveryCodec) {
+  Drbg rng(std::vector<std::uint8_t>{static_cast<std::uint8_t>(GetParam()), 9});
+  const char* methods[] = {"system.list_methods", "echo.echo", "file.md5",
+                           "shell.cmd", "system.auth", "m"};
+  for (const PeekCodec& codec : peek_codecs()) {
+    int parsed = 0;
+    int named = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      rpc::Request request;
+      request.method = methods[rng.uniform(std::size(methods))];
+      for (std::uint64_t i = rng.uniform(3); i > 0; --i) {
+        request.params.push_back(random_value(rng, 2));
+      }
+      request.id = rpc::Value(static_cast<std::int64_t>(trial));
+      std::string body = rpc::serialize_request(codec.protocol, request);
+      switch (rng.uniform(3)) {
+        case 0:  // as serialized
+          break;
+        case 1:  // truncated
+          body.resize(rng.uniform(body.size()));
+          break;
+        default: {  // a decoy at a random insertion point
+          std::vector<std::size_t> points;
+          for (std::size_t i = 0; i < body.size(); ++i) {
+            if (codec.after.empty() ||
+                codec.after.find(body[i]) != std::string_view::npos) {
+              points.push_back(i + 1);
+            }
+          }
+          const std::string& decoy =
+              codec.decoys[rng.uniform(codec.decoys.size())];
+          body.insert(points[rng.uniform(points.size())], decoy);
+          break;
+        }
+      }
+      std::string method;
+      try {
+        method = rpc::parse_request(codec.protocol, body).method;
+      } catch (const std::exception&) {
+        continue;  // the peek may say anything about a body that fails
+      }
+      ++parsed;
+      std::string peek = rpc::peek_method(codec.protocol, body);
+      EXPECT_TRUE(peek.empty() || peek == method)
+          << rpc::to_string(codec.protocol) << " peeked '" << peek
+          << "' but parsed '" << method << "' from: " << body;
+      if (peek == method) ++named;
+    }
+    // Not vacuous: most bodies parse, and the peek names their method.
+    EXPECT_GT(parsed, 100) << rpc::to_string(codec.protocol);
+    EXPECT_GT(named, parsed / 2) << rpc::to_string(codec.protocol);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PeekAgreesWithParser, ::testing::Range(0, 4));
 
 // ---------- DN properties ----------
 
@@ -222,8 +319,11 @@ TEST_P(CodecProperties, BytesAndTextRoundTrips) {
     EXPECT_EQ(util::base64_decode(util::base64_encode(blob)), blob);
 
     std::string text = random_text(rng, 120);
-    rpc::XmlNode node = rpc::xml_parse("<r>" + rpc::xml_escape(text) + "</r>");
-    EXPECT_EQ(node.text, text);
+    std::string doc = "<r>" + rpc::xml_escape(text) + "</r>";
+    rpc::XmlPullParser parser(doc);
+    parser.next();
+    EXPECT_EQ(parser.element_text(), text);
+    EXPECT_EQ(parser.next(), rpc::XmlPullParser::Event::Eof);
   }
 }
 

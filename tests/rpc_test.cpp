@@ -70,50 +70,103 @@ TEST(Value, ArrayOperations) {
   EXPECT_EQ(w.size(), 1u);
 }
 
-// ---------- XML mini-parser ----------
+// ---------- XML pull parser ----------
+
+/// The event stream of `doc` as text: <a x=1>, 'decoded text', </a>.
+std::string events(std::string_view doc) {
+  XmlPullParser p(doc);
+  std::string out;
+  for (auto event = p.next(); event != XmlPullParser::Event::Eof;
+       event = p.next()) {
+    switch (event) {
+      case XmlPullParser::Event::StartTag:
+        out += "<" + std::string(p.name());
+        for (const auto& [k, v] : p.attributes()) {
+          out += " " + std::string(k) + "=" + std::string(v);
+        }
+        out += ">";
+        break;
+      case XmlPullParser::Event::EndTag:
+        out += "</" + std::string(p.name()) + ">";
+        break;
+      case XmlPullParser::Event::Text:
+        out += "'" + p.text() + "'";
+        break;
+      case XmlPullParser::Event::Eof:
+        break;
+    }
+  }
+  return out;
+}
+
+/// Decoded character data of a one-element document.
+std::string root_text(std::string_view doc) {
+  XmlPullParser p(doc);
+  p.next();
+  std::string text = p.element_text();
+  EXPECT_EQ(p.next(), XmlPullParser::Event::Eof);
+  return text;
+}
 
 TEST(Xml, ParsesElementsTextAndAttributes) {
-  XmlNode root = xml_parse(
-      "<?xml version=\"1.0\"?><a x=\"1\" y=\"two\"><b>text</b><c/>tail</a>");
-  EXPECT_EQ(root.tag, "a");
-  EXPECT_EQ(root.attribute("x"), "1");
-  EXPECT_EQ(root.attribute("y"), "two");
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0].text, "text");
-  EXPECT_EQ(root.children[1].tag, "c");
-  EXPECT_EQ(root.text, "tail");
+  EXPECT_EQ(events("<?xml version=\"1.0\"?><a x=\"1\" y=\"two\"><b>text</b>"
+                   "<c/>tail</a>"),
+            "<a x=1 y=two><b>'text'</b><c></c>'tail'</a>");
 }
 
 TEST(Xml, EntitiesAndCdata) {
-  XmlNode root = xml_parse("<r>&lt;&gt;&amp;&quot;&apos;&#65;<![CDATA[<raw>]]></r>");
-  EXPECT_EQ(root.text, "<>&\"'A<raw>");
+  const char* doc = "<r>&lt;&gt;&amp;&quot;&apos;&#65;<![CDATA[<raw>]]></r>";
+  EXPECT_EQ(root_text(doc), "<>&\"'A<raw>");
+  XmlPullParser p(doc);
+  p.next();
+  ASSERT_EQ(p.next(), XmlPullParser::Event::Text);
+  EXPECT_TRUE(p.text_needs_unescape());
+  EXPECT_EQ(p.text_raw(), "&lt;&gt;&amp;&quot;&apos;&#65;");
+  ASSERT_EQ(p.next(), XmlPullParser::Event::Text);  // CDATA stays raw
+  EXPECT_FALSE(p.text_needs_unescape());
+  EXPECT_EQ(p.text_raw(), "<raw>");
 }
 
 TEST(Xml, NamespacePrefixesAndLocalNames) {
-  XmlNode root = xml_parse(
+  XmlPullParser p(
       "<SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://x\"><SOAP-ENV:Body/>"
       "</SOAP-ENV:Envelope>");
-  EXPECT_EQ(root.local_name(), "Envelope");
-  EXPECT_NE(root.child("Body"), nullptr);
+  ASSERT_EQ(p.next(), XmlPullParser::Event::StartTag);
+  EXPECT_EQ(p.name(), "SOAP-ENV:Envelope");
+  EXPECT_EQ(p.local_name(), "Envelope");
+  ASSERT_EQ(p.next(), XmlPullParser::Event::StartTag);
+  EXPECT_EQ(p.local_name(), "Body");
 }
 
 TEST(Xml, CommentsSkipped) {
-  XmlNode root = xml_parse("<!-- head --><r><!-- mid -->x</r>");
-  EXPECT_EQ(root.text, "x");
+  EXPECT_EQ(root_text("<!-- head --><r><!-- mid -->x</r>"), "x");
+  EXPECT_EQ(events("<!-- head --><r><!-- mid -->x</r><!-- tail -->"),
+            "<r>'x'</r>");
+}
+
+TEST(Xml, SkipElementAndElementText) {
+  XmlPullParser p("<r><skip><a>1</a><b/></skip><t>v&amp;w</t><t><x/></t></r>");
+  p.next();
+  p.next();  // <skip>
+  p.skip_element();
+  ASSERT_EQ(p.next(), XmlPullParser::Event::StartTag);
+  EXPECT_EQ(p.name(), "t");
+  EXPECT_EQ(p.element_text(), "v&w");
+  p.next();  // second <t>
+  EXPECT_THROW(p.element_text(), ParseError);  // child element in text
 }
 
 TEST(Xml, MalformedInputsThrow) {
-  EXPECT_THROW(xml_parse("<a><b></a></b>"), ParseError);  // mismatched
-  EXPECT_THROW(xml_parse("<a>"), ParseError);             // unterminated
-  EXPECT_THROW(xml_parse("<a>&bogus;</a>"), ParseError);  // unknown entity
-  EXPECT_THROW(xml_parse("plain text"), ParseError);
-  EXPECT_THROW(xml_parse("<a></a><b></b>"), ParseError);  // two roots
+  EXPECT_THROW(events("<a><b></a></b>"), ParseError);  // mismatched
+  EXPECT_THROW(events("<a>"), ParseError);             // unterminated
+  EXPECT_THROW(events("<a>&bogus;</a>"), ParseError);  // unknown entity
+  EXPECT_THROW(events("plain text"), ParseError);
+  EXPECT_THROW(events("<a></a><b></b>"), ParseError);  // two roots
 }
 
 TEST(Xml, EscapeRoundTrip) {
   std::string nasty = "<tag attr=\"x&y\">'quoted'</tag>";
-  XmlNode root = xml_parse("<r>" + xml_escape(nasty) + "</r>");
-  EXPECT_EQ(root.text, nasty);
+  EXPECT_EQ(root_text("<r>" + xml_escape(nasty) + "</r>"), nasty);
 }
 
 // ---------- value corpus for cross-codec property tests ----------
@@ -410,6 +463,15 @@ TEST(Protocol, PeekMethodIgnoresNestedAndDecoyKeys) {
   EXPECT_EQ(peek_method(Protocol::JsonRpc,
                         R"({"method":"echo.echo","method":"file.read"})"),
             "file.read");
+  // An escaped key the parser decodes to "method": the peek cannot tell
+  // without decoding, so it names nothing.
+  EXPECT_EQ(peek_method(Protocol::JsonRpc,
+                        R"({"method":"echo.echo","\u006dethod":"shell.cmd"})"),
+            "");
+  EXPECT_EQ(jsonrpc::parse_request(
+                R"({"method":"echo.echo","\u006dethod":"shell.cmd"})")
+                .method,
+            "shell.cmd");
 }
 
 TEST(Protocol, PeekMethodJsonPuntsOnOddInput) {
@@ -420,6 +482,60 @@ TEST(Protocol, PeekMethodJsonPuntsOnOddInput) {
   EXPECT_EQ(peek_method(Protocol::JsonRpc, R"({"method":"unterminated)"), "");
   EXPECT_EQ(peek_method(Protocol::JsonRpc, R"({"method":42})"), "");
   EXPECT_EQ(peek_method(Protocol::JsonRpc, ""), "");
+}
+
+TEST(Protocol, PeekMethodXmlAgreesWithParser) {
+  // Each body either parses to the expected method, which the peek must
+  // name too, or fails to parse (expected ""), and then the peek must
+  // say "" as well.
+  struct Case {
+    Protocol protocol;
+    std::string body;
+    std::string method;
+  };
+  const std::string soap_open =
+      "<SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://x\" xmlns:m=\"urn:c\">";
+  Request list;
+  list.method = "system.list_methods";
+  const Case cases[] = {
+      // A commented-out methodName before the real call.
+      {Protocol::XmlRpc,
+       "<?xml version=\"1.0\"?><!--<methodName>system.list_methods"
+       "</methodName>--><methodCall><methodName>file.md5</methodName>"
+       "<params><param><value>/d</value></param></params></methodCall>",
+       "file.md5"},
+      // A methodName hidden in a subtree ahead of the real one: the
+      // method must be the first element, so this is not a request.
+      {Protocol::XmlRpc,
+       "<methodCall><x><methodName>echo.echo</methodName></x>"
+       "<methodName>shell.cmd</methodName></methodCall>",
+       ""},
+      // A SOAP call with a methodName child element.
+      {Protocol::Soap,
+       soap_open + "<SOAP-ENV:Body><m:shell.cmd><methodName>"
+                   "system.list_methods</methodName><param><value>ls</value>"
+                   "</param></m:shell.cmd></SOAP-ENV:Body></SOAP-ENV:Envelope>",
+       "shell.cmd"},
+      // A Header ahead of the Body.
+      {Protocol::Soap,
+       soap_open + "<SOAP-ENV:Header><m:system.list_methods/></SOAP-ENV:Header>"
+                   "<SOAP-ENV:Body><m:file.ls><param><value>/</value></param>"
+                   "</m:file.ls></SOAP-ENV:Body></SOAP-ENV:Envelope>",
+       "file.ls"},
+      // A plain SOAP call peeks its method.
+      {Protocol::Soap, soap::serialize_request(list), "system.list_methods"},
+      {Protocol::XmlRpc, xmlrpc::serialize_request(list),
+       "system.list_methods"},
+  };
+  for (const Case& c : cases) {
+    std::string parsed;
+    try {
+      parsed = parse_request(c.protocol, c.body).method;
+    } catch (const ParseError&) {
+    }
+    EXPECT_EQ(parsed, c.method) << c.body;
+    EXPECT_EQ(peek_method(c.protocol, c.body), c.method) << c.body;
+  }
 }
 
 // ---------- registry ----------

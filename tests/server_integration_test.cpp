@@ -4,11 +4,19 @@
 // session persistence across restart, and the shell/proxy flows.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <thread>
 
 #include "client/client.hpp"
 #include "core/server.hpp"
+#include "discovery/station.hpp"
+#include "http/parser.hpp"
+#include "net/socket.hpp"
+#include "rpc/protocol.hpp"
 #include "rpc/fault.hpp"
 #include "test_fixtures.hpp"
 #include "util/error.hpp"
@@ -83,6 +91,96 @@ TEST(ServerIntegration, InlineDispatchOffRunsEveryCallOnAWorker) {
   }
   EXPECT_GE(server.requests_served(), 20u);
   EXPECT_EQ(server.requests_inlined(), 0u);
+  server.stop();
+}
+
+/// POST `body` verbatim on a fresh connection; returns the parsed RPC
+/// response.
+rpc::Response raw_call(std::uint16_t port, const std::string& session,
+                       rpc::Protocol protocol, const std::string& body) {
+  http::Request request;
+  request.method = "POST";
+  request.target = "/clarens";
+  request.headers.set("Host", "127.0.0.1");
+  request.headers.set("Content-Type", rpc::content_type(protocol));
+  request.headers.set("X-Clarens-Session", session);
+  request.body = body;
+  net::TcpConnection conn = net::TcpConnection::connect("127.0.0.1", port);
+  conn.write_all(request.serialize());
+  http::ResponseParser parser;
+  std::array<std::uint8_t, 8192> buf;
+  for (;;) {
+    if (auto response = parser.next()) {
+      EXPECT_EQ(response->status, 200);
+      return rpc::parse_response(protocol, response->body);
+    }
+    std::size_t n = conn.read(buf);
+    if (n == 0) throw SystemError("connection closed before a response");
+    parser.feed(std::span<const std::uint8_t>(buf.data(), n));
+  }
+}
+
+TEST(ServerIntegration, InlineDispatchFollowsTheParsedMethod) {
+  // The inline decision keys on the method the parser dispatches: a
+  // commented-out system.* name cannot pull file.roots onto the reactor,
+  // and a plain SOAP system.* call is inline-eligible like XML-RPC's.
+  const TestPki& pki = TestPki::instance();
+  core::ClarensConfig config = base_config(pki);
+  config.initial_method_acls.push_back({"file", allow_anyone()});
+  core::ClarensServer server(std::move(config));
+  server.start();
+  client::ClarensClient client(client_options(pki, pki.bob, server.port()));
+  client.connect();
+  std::string session = client.authenticate();
+
+  std::uint64_t inlined = server.requests_inlined();
+  rpc::Response roots = raw_call(
+      server.port(), session, rpc::Protocol::XmlRpc,
+      "<?xml version=\"1.0\"?><!--<methodName>system.list_methods"
+      "</methodName>--><methodCall><methodName>file.roots</methodName>"
+      "<params/></methodCall>");
+  ASSERT_FALSE(roots.is_fault) << roots.fault_message;
+  EXPECT_EQ(roots.result.type(), rpc::Value::Type::Array);
+  EXPECT_EQ(server.requests_inlined(), inlined);
+
+  inlined = server.requests_inlined();
+  rpc::Request list;
+  list.method = "system.list_methods";
+  rpc::Response methods =
+      raw_call(server.port(), session, rpc::Protocol::Soap,
+               rpc::serialize_request(rpc::Protocol::Soap, list));
+  ASSERT_FALSE(methods.is_fault) << methods.fault_message;
+  EXPECT_GT(methods.result.as_array().size(), 30u);
+  EXPECT_EQ(server.requests_inlined(), inlined + 1);
+  server.stop();
+}
+
+TEST(ServerIntegration, PublishedLoadMetricsFollowSessions) {
+  // The GLUE record's load metrics are rebuilt for every publish, so a
+  // login shows up at the station within a few ticks.
+  const TestPki& pki = TestPki::instance();
+  discovery::StationServer station;
+  core::ClarensConfig config = base_config(pki);
+  config.station = {{"127.0.0.1", station.port()}};
+  config.publish_interval_ms = 50;
+  core::ClarensServer server(std::move(config));
+  server.start();
+  auto published_sessions = [&station] {
+    for (const auto& record : station.records()) {
+      if (record.service == "system") return record.metrics.at("sessions");
+    }
+    return -1.0;
+  };
+  auto within_2s = [](auto predicate) {
+    for (int i = 0; i < 100 && !predicate(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return predicate();
+  };
+  ASSERT_TRUE(within_2s([&] { return published_sessions() == 0; }));
+  server.direct_login("/O=testgrid.org/OU=People/CN=Bob Baker");
+  EXPECT_TRUE(within_2s([&] { return published_sessions() == 1; }))
+      << "station still reports " << published_sessions() << " sessions";
   server.stop();
 }
 

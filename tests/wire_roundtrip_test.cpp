@@ -251,25 +251,40 @@ TEST(WireRoundTrip, MalformedEnvelopesThrow) {
   EXPECT_THROW(rpc::binrpc::parse_request(corrupt), ParseError);
 }
 
-// The slice tree keeps views into the caller's buffer; decoded access
-// must copy, view access must alias.
-TEST(WireRoundTrip, SliceLifetimesAndDecode) {
+// The pull parser hands out views into the caller's buffer; decoded
+// access must copy, view access must alias.
+TEST(WireRoundTrip, PullTextAliasesOrDecodes) {
   std::string doc = "<root attr=\"a&amp;b\"><clean>plain text</clean>"
                     "<coded>x &lt;&gt; y</coded>"
                     "<cd><![CDATA[<raw&stuff>]]></cd></root>";
-  rpc::XmlSlice root = rpc::xml_parse_slices(doc);
-  ASSERT_EQ(root.children.size(), 3u);
-  const rpc::XmlSlice& clean = root.children[0];
-  EXPECT_TRUE(clean.text_is_view());
+  auto within_doc = [&doc](std::string_view view) {
+    return view.data() >= doc.data() &&
+           view.data() + view.size() <= doc.data() + doc.size();
+  };
+  rpc::XmlPullParser p(doc);
+  ASSERT_EQ(p.next(), rpc::XmlPullParser::Event::StartTag);
+  ASSERT_EQ(p.attributes().size(), 1u);
+  EXPECT_EQ(p.attributes()[0].second, "a&amp;b");  // raw, undecoded
+  EXPECT_TRUE(within_doc(p.attributes()[0].second));
+  EXPECT_EQ(rpc::xml_unescape(p.attributes()[0].second), "a&b");
+
+  p.next();  // <clean>
+  ASSERT_EQ(p.next(), rpc::XmlPullParser::Event::Text);
+  EXPECT_FALSE(p.text_needs_unescape());
   // The view aliases the document storage — zero-copy.
-  EXPECT_GE(clean.text_view().data(), doc.data());
-  EXPECT_LT(clean.text_view().data(), doc.data() + doc.size());
-  EXPECT_EQ(clean.text_view(), "plain text");
-  const rpc::XmlSlice& coded = root.children[1];
-  EXPECT_FALSE(coded.text_is_view());
-  EXPECT_EQ(coded.text(), "x <> y");
-  EXPECT_EQ(root.children[2].text(), "<raw&stuff>");
-  EXPECT_EQ(root.attribute("attr"), "a&b");
+  EXPECT_TRUE(within_doc(p.text_raw()));
+  EXPECT_EQ(p.text_raw(), "plain text");
+  p.next();  // </clean>
+
+  p.next();  // <coded>
+  ASSERT_EQ(p.next(), rpc::XmlPullParser::Event::Text);
+  EXPECT_TRUE(p.text_needs_unescape());
+  EXPECT_EQ(p.text_raw(), "x &lt;&gt; y");
+  EXPECT_EQ(p.text(), "x <> y");
+  p.next();  // </coded>
+
+  p.next();  // <cd>
+  EXPECT_EQ(p.element_text(), "<raw&stuff>");
 }
 
 }  // namespace

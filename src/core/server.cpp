@@ -11,6 +11,7 @@
 #include "rpc/binrpc.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/protocol.hpp"
+#include "rpc/xml.hpp"
 #include "util/buffer.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
@@ -176,26 +177,23 @@ void ClarensServer::start() {
   options.host = config_.host;
   options.port = config_.port;
   options.max_connections = config_.max_connections;
-  // The dispatch-cost key (DESIGN.md "Dispatch policy"): a cheap method
-  // peek before the full parse. Only modules whose handlers are
+  // The inline-dispatch predicate (DESIGN.md "Dispatch policy"): a cheap
+  // method peek before the full parse. Only modules whose handlers are
   // in-memory and store-read-only are inline-eligible; the auth
   // handshake methods do crypto and write the session store, so they
-  // always take a worker. Inline dispatch off = no key at all.
+  // always take a worker. Inline dispatch off = no predicate at all.
   if (config_.inline_dispatch) {
-    options.cost_key = [](const http::Request& request) -> std::string {
-      if (request.method != "POST") return {};
+    options.inline_ok = [](const http::Request& request) {
+      if (request.method != "POST") return false;
       const std::string* content_type = request.headers.find("Content-Type");
       rpc::Protocol protocol = rpc::detect(
           content_type ? *content_type : std::string_view(), request.body);
       std::string name = rpc::peek_method(protocol, request.body);
       std::string_view module = std::string_view(name).substr(
           0, std::min(name.find('.'), name.size()));
-      if (module != "system" && module != "echo") return {};
-      if (name == "system.auth" || name == "system.challenge" ||
-          name == "system.logout") {
-        return {};
-      }
-      return name;
+      return (module == "system" || module == "echo") &&
+             name != "system.auth" && name != "system.challenge" &&
+             name != "system.logout";
     };
   }
   if (config_.use_tls) {
@@ -676,9 +674,13 @@ http::Response ClarensServer::handle_get(const http::Request& request,
     FileStat st = files_->stat(path, identity);
     if (st.is_directory) {
       // Simple index listing, as the paper's file browser component shows.
-      std::string body = "<html><body><h2>" + path + "</h2><ul>";
+      // Names are caller-chosen: escape them so a listing never carries
+      // markup.
+      std::string body =
+          "<html><body><h2>" + rpc::xml_escape(path) + "</h2><ul>";
       for (const auto& entry : files_->ls(path, identity)) {
-        body += "<li>" + entry.name + (entry.is_directory ? "/" : "") + "</li>";
+        body += "<li>" + rpc::xml_escape(entry.name) +
+                (entry.is_directory ? "/" : "") + "</li>";
       }
       body += "</ul></body></html>";
       return http::Response::make(200, body, "text/html");

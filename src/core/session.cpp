@@ -210,8 +210,11 @@ std::string SessionManager::issue_challenge() {
 
 void SessionManager::consume_challenge(const std::string& nonce) {
   auto text = store_.get(kChallengeTable, nonce);
-  if (!text) throw AuthError("unknown challenge");
-  store_.erase(kChallengeTable, nonce);  // single use
+  // Single use: of concurrent consumers, only the one whose erase removed
+  // the nonce may spend it.
+  if (!text || !store_.erase(kChallengeTable, nonce)) {
+    throw AuthError("unknown challenge");
+  }
   if (challenge_expiry(*text) < util::unix_now()) {
     throw AuthError("challenge expired");
   }

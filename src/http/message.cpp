@@ -121,12 +121,6 @@ void Response::serialize_head_into(util::Buffer& out,
   out.write("\r\n");
 }
 
-std::string Response::serialize_head(std::size_t content_length) const {
-  util::Buffer out;
-  serialize_head_into(out, content_length);
-  return std::string(out.peek_view());
-}
-
 std::string Response::serialize() const {
   util::Buffer out;
   std::string_view b = effective_body();

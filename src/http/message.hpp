@@ -73,7 +73,8 @@ struct Response {
 
   /// When set, the server streams this file region as the body instead of
   /// `body`, using sendfile(2) on plaintext connections. Content-Length is
-  /// set automatically.
+  /// set automatically; a file that turns out shorter than the region
+  /// closes the connection, since the length is already on the wire.
   struct FileRegion {
     std::string path;
     std::int64_t offset = 0;
@@ -92,7 +93,6 @@ struct Response {
   static Response make(int status, std::string body,
                        std::string content_type = "text/plain");
 
-  std::string serialize_head(std::size_t content_length) const;
   /// Append the status line + headers + blank line to `out` without
   /// intermediate strings (the server's vectored-write hot path).
   void serialize_head_into(util::Buffer& out, std::size_t content_length) const;

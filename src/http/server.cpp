@@ -3,11 +3,9 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "http/parser.hpp"
 #include "util/buffer.hpp"
@@ -59,12 +57,73 @@ std::span<const std::uint8_t> as_bytes(std::string_view s) {
 // Inline-dispatch policy (DESIGN.md "Dispatch policy").
 /// Requests with bodies above this never run inline.
 constexpr std::size_t kInlineMaxBody = 16 * 1024;
-/// A method whose EWMA cost exceeds this spills (microseconds).
-constexpr double kInlineCostLimitUs = 500.0;
-/// Total inline handler time allowed per epoll tick (microseconds); past
-/// it the remainder of the tick spills, bounding how long the reactor
-/// defers its read loop.
+/// Wall-clock inline handler time allowed per epoll tick (microseconds);
+/// past it the remainder of the tick spills, bounding how long the
+/// reactor defers its read loop.
 constexpr double kInlineBudgetUs = 5000.0;
+
+/// Status line + headers for an in-memory response, serialized into
+/// `head`, and the body (none for HEAD): the chunks of one vectored write.
+std::array<std::string_view, 2> wire_chunks(const Request& request,
+                                            const Response& response,
+                                            util::Buffer& head) {
+  std::string_view body = response.effective_body();
+  head.clear();
+  response.serialize_head_into(head, body.size());
+  return {head.peek_view(),
+          request.method != "HEAD" ? body : std::string_view()};
+}
+
+/// Blocking write of one response. The body, often a view of the
+/// handler's serialization arena, is never copied into a combined wire
+/// string. A file region streams through Stream::send_file: on an RPC
+/// envelope (non-empty FileRegion::head) the handler already clamped the
+/// region and head/tail carry the serialized framing around the raw
+/// bytes; a GET region is clamped to the file here. Throws SystemError
+/// when the connection can no longer carry a well-framed response.
+void send_response(net::Stream& stream, const Request& request,
+                   const Response& response) {
+  thread_local util::Buffer head;
+  if (!response.file) {
+    stream.write_vec(wire_chunks(request, response, head));
+    return;
+  }
+  const Response::FileRegion& region = *response.file;
+  net::Fd file(::open(region.path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!file.valid()) {
+    stream.write_all(Response::make(404, "file not found\n").serialize());
+    return;
+  }
+  struct stat st{};
+  if (::fstat(file.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    stream.write_all(Response::make(404, "not a regular file\n").serialize());
+    return;
+  }
+  std::int64_t offset = region.offset;
+  std::int64_t length = region.length;
+  if (region.head.empty()) {
+    offset = std::clamp<std::int64_t>(offset, 0, st.st_size);
+    if (length < 0 || length > st.st_size - offset) {
+      length = st.st_size - offset;
+    }
+  }
+  std::size_t count = static_cast<std::size_t>(length);
+  head.clear();
+  response.serialize_head_into(
+      head, region.head.size() + count + region.tail.size());
+  if (request.method == "HEAD") {
+    stream.write_all(head.peek_view());
+    return;
+  }
+  std::array<std::string_view, 2> opening = {head.peek_view(), region.head};
+  stream.write_vec(opening);
+  if (stream.send_file(file.get(), offset, count) != count) {
+    // The Content-Length is committed; a file that shrank between resolve
+    // and send can only be answered by killing the connection.
+    throw SystemError("file region shrank mid-response");
+  }
+  stream.write_all(region.tail);
+}
 
 }  // namespace
 
@@ -195,9 +254,9 @@ void Server::on_readable(const std::shared_ptr<Conn>& conn) {
     std::optional<Request> request;
     while ((request = conn->parser.next())) {
       Conn::Pending item;
-      if (options_.cost_key && request->body.size() <= kInlineMaxBody) {
-        item.cost_key = options_.cost_key(*request);
-      }
+      item.inline_ok = options_.inline_ok &&
+                       request->body.size() <= kInlineMaxBody &&
+                       options_.inline_ok(*request);
       item.request = std::move(*request);
       parsed.push_back(std::move(item));
     }
@@ -328,47 +387,36 @@ void Server::maybe_dispatch(const std::shared_ptr<Conn>& conn) {
 }
 
 bool Server::inline_eligible(const Conn::Pending& item) {
-  if (item.cost_key.empty()) return false;
+  if (!item.inline_ok) return false;
   std::uint64_t tick = reactor_->ticks();
   if (tick != budget_tick_) {
     budget_tick_ = tick;
     budget_spent_us_ = 0;
   }
-  if (budget_spent_us_ >= kInlineBudgetUs) return false;
-  return cost_of(item.cost_key) < kInlineCostLimitUs;
+  return budget_spent_us_ < kInlineBudgetUs;
 }
 
-double Server::cost_of(const std::string& key) {
-  util::LockGuard lock(costs_mutex_);
-  auto it = costs_.find(key);
-  // Unknown methods get the optimistic answer: run inline once, measure,
-  // and let the EWMA evict them if they turn out slow.
-  return it == costs_.end() ? 0.0 : it->second;
-}
-
-void Server::note_cost(const std::string& key, double us) {
-  util::LockGuard lock(costs_mutex_);
-  double& cost = costs_[key];
-  cost = cost == 0.0 ? us : 0.7 * cost + 0.3 * us;
-}
-
-Response Server::run_handler(const Request& request, const Peer& peer,
-                             const std::string& cost_key) {
-  util::Stopwatch watch;
+Response Server::run_handler(const Request& request, const Peer& peer) {
   Response response;
   try {
     response = handler_(request, peer);
   } catch (const std::exception& e) {
     response = Response::make(500, std::string(e.what()) + "\n");
   }
-  if (!cost_key.empty()) note_cost(cost_key, watch.seconds() * 1e6);
+  if (!request.keep_alive()) response.headers.set("Connection", "close");
   return response;
+}
+
+void Server::seal(Conn& conn) {
+  util::LockGuard lock(conn.mutex);
+  conn.closing = true;
+  conn.ready.clear();
 }
 
 void Server::inline_drain(const std::shared_ptr<Conn>& conn) {
   // Reactor thread, holding the drainer token (busy). Each iteration runs
-  // one measured-cheap request and writes its response without blocking;
-  // the first ineligible request (or an exhausted tick budget) hands the
+  // one eligible request and writes its response without blocking; the
+  // first ineligible request (or an exhausted tick budget) hands the
   // token to a pool worker so the reactor returns to its fds.
   for (;;) {
     Conn::Pending item;
@@ -391,43 +439,24 @@ void Server::inline_drain(const std::shared_ptr<Conn>& conn) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     inlined_.fetch_add(1, std::memory_order_relaxed);
     util::Stopwatch watch;
-    Response response = run_handler(item.request, conn->peer, item.cost_key);
+    Response response = run_handler(item.request, conn->peer);
     budget_spent_us_ += watch.seconds() * 1e6;
-
-    bool close_after = false;
-    if (!item.request.keep_alive()) {
-      response.headers.set("Connection", "close");
-      close_after = true;
-    }
+    bool close_after = !item.request.keep_alive();
 
     if (response.file) {
-      // File regions stream with blocking I/O (sendfile or the TLS read
-      // loop) — hand both the send and the drainer token to a worker.
+      // File regions stream with blocking I/O — hand both the send and
+      // the drainer token to a worker.
       pool_->submit([this, conn, request = std::move(item.request),
-                     response = std::move(response), close_after]() mutable {
-        bool ok = true;
-        try {
-          worker_send(*conn, request, std::move(response));
-        } catch (const SystemError&) {
-          ok = false;
-        }
-        if (!ok || close_after) {
-          util::LockGuard lock(conn->mutex);
-          conn->closing = true;
-          conn->ready.clear();
-        }
+                     response = std::move(response), close_after] {
+        send_or_seal(*conn, request, response, close_after);
         worker_drain(conn);
       });
       return;
     }
 
-    std::string_view body = response.effective_body();
     thread_local util::Buffer head;
-    head.clear();
-    response.serialize_head_into(head, body.size());
-    std::array<std::string_view, 2> chunks = {
-        head.peek_view(),
-        item.request.method != "HEAD" ? body : std::string_view()};
+    std::array<std::string_view, 2> chunks =
+        wire_chunks(item.request, response, head);
     bool flushed = false;
     bool broken = false;
     try {
@@ -444,27 +473,16 @@ void Server::inline_drain(const std::shared_ptr<Conn>& conn) {
       broken = true;  // peer vanished mid-write
     }
 
-    if (broken || (close_after && flushed)) {
-      {
-        util::LockGuard lock(conn->mutex);
-        conn->closing = true;
-        conn->ready.clear();
-        conn->busy = false;
-      }
-      close_conn(conn);
-      return;
-    }
-    if (!flushed) {
-      // The tail is parked in the outbox; the reactor resumes this queue
-      // (or closes, if close_after marked it) once EPOLLOUT drains it.
+    if (flushed && !close_after) continue;
+    if (broken || close_after) seal(*conn);
+    {
       util::LockGuard lock(conn->mutex);
-      if (close_after) {
-        conn->closing = true;
-        conn->ready.clear();
-      }
       conn->busy = false;
-      return;
     }
+    // Nothing parked: tear down now. Otherwise the reactor resumes this
+    // queue (or closes, if sealed) once EPOLLOUT drains the outbox.
+    if (broken || flushed) close_conn(conn);
+    return;
   }
 
   // Drained a closing connection on the reactor: best-effort 400 if the
@@ -529,11 +547,7 @@ void Server::flush_outbox(const std::shared_ptr<Conn>& conn) {
       std::size_t n = conn->tcp.write_some(conn->outbox.peek());
       conn->outbox.consume(n);
     } catch (const SystemError&) {
-      {
-        util::LockGuard lock(conn->mutex);
-        conn->closing = true;
-        conn->ready.clear();
-      }
+      seal(*conn);
       close_conn(conn);
       return;
     }
@@ -571,21 +585,9 @@ void Server::worker_drain(std::shared_ptr<Conn> conn) {
     }
 
     requests_.fetch_add(1, std::memory_order_relaxed);
-    Response response = run_handler(item.request, conn->peer, item.cost_key);
-    bool close_after = false;
-    if (!item.request.keep_alive()) {
-      response.headers.set("Connection", "close");
-      close_after = true;
-    }
-    try {
-      worker_send(*conn, item.request, std::move(response));
-    } catch (const SystemError&) {
-      close_after = true;  // peer vanished mid-write
-    }
-    if (close_after) {
-      util::LockGuard lock(conn->mutex);
-      conn->closing = true;
-      conn->ready.clear();
+    Response response = run_handler(item.request, conn->peer);
+    if (!send_or_seal(*conn, item.request, response,
+                      !item.request.keep_alive())) {
       break;
     }
   }
@@ -600,14 +602,20 @@ void Server::worker_drain(std::shared_ptr<Conn> conn) {
   request_close(conn);
 }
 
-void Server::worker_send(Conn& conn, const Request& request,
-                         Response response) {
-  if (conn.engine) {
-    TlsStream stream(conn.tcp, *conn.engine);
-    send_response(stream, nullptr, request, std::move(response));
-  } else {
-    send_response(conn.tcp, &conn.tcp, request, std::move(response));
+bool Server::send_or_seal(Conn& conn, const Request& request,
+                          const Response& response, bool close_after) {
+  try {
+    if (conn.engine) {
+      TlsStream stream(conn.tcp, *conn.engine);
+      send_response(stream, request, response);
+    } else {
+      send_response(conn.tcp, request, response);
+    }
+  } catch (const SystemError&) {
+    close_after = true;  // peer vanished mid-write, or a short file region
   }
+  if (close_after) seal(conn);
+  return !close_after;
 }
 
 void Server::request_close(const std::shared_ptr<Conn>& conn) {
@@ -621,114 +629,6 @@ void Server::close_conn(const std::shared_ptr<Conn>& conn) {
   conn->tcp.close();
   util::LockGuard lock(conns_mutex_);
   conns_.erase(fd);
-}
-
-void Server::send_response(net::Stream& stream, net::TcpConnection* plain_tcp,
-                           const Request& request, Response response) {
-  if (!response.file) {
-    // Head into a per-worker scratch buffer, then one vectored write of
-    // {head, body}: the body (often a view of the handler's serialization
-    // arena) is never copied into a combined wire string.
-    std::string_view body = response.effective_body();
-    thread_local util::Buffer head;
-    head.clear();
-    response.serialize_head_into(head, body.size());
-    std::array<std::string_view, 2> chunks = {
-        head.peek_view(),
-        request.method != "HEAD" ? body : std::string_view()};
-    stream.write_vec(chunks);
-    return;
-  }
-
-  const auto& region = *response.file;
-  int fd = ::open(region.path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    stream.write_all(Response::make(404, "file not found\n").serialize());
-    return;
-  }
-
-  if (!region.head.empty()) {
-    // RPC envelope mode (zero-copy file.read): the handler already
-    // resolved and clamped the region, and head/tail carry the serialized
-    // response framing around the raw bytes. The body bypasses the
-    // serialization arena entirely — sendfile(2) on plaintext.
-    std::size_t length = static_cast<std::size_t>(region.length);
-    std::string_view body_head = region.head;
-    std::string_view body_tail = region.tail;
-    thread_local util::Buffer http_head;
-    http_head.clear();
-    response.serialize_head_into(http_head,
-                                 body_head.size() + length + body_tail.size());
-    std::array<std::string_view, 2> opening = {http_head.peek_view(),
-                                               body_head};
-    stream.write_vec(opening);
-    std::size_t sent = 0;
-    if (plain_tcp) {
-      sent = plain_tcp->sendfile(fd, region.offset, length);
-    } else {
-      if (::lseek(fd, region.offset, SEEK_SET) < 0) {
-        ::close(fd);
-        throw SystemError("lseek failed");
-      }
-      std::array<std::uint8_t, 64 * 1024> buf;
-      while (sent < length) {
-        ssize_t n = ::read(fd, buf.data(), std::min(length - sent, buf.size()));
-        if (n <= 0) break;
-        stream.write_all(std::span<const std::uint8_t>(
-            buf.data(), static_cast<std::size_t>(n)));
-        sent += static_cast<std::size_t>(n);
-      }
-    }
-    ::close(fd);
-    if (sent != length) {
-      // The Content-Length is committed; a short file (truncated between
-      // resolve and send) can only be answered by killing the connection.
-      throw SystemError("file region shrank mid-response");
-    }
-    stream.write_all(body_tail);
-    return;
-  }
-
-  // GET-style file responses: stat, fix up length, stream.
-  struct stat st{};
-  if (fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    stream.write_all(Response::make(404, "not a regular file\n").serialize());
-    return;
-  }
-  std::int64_t offset = region.offset;
-  std::int64_t length = region.length;
-  if (offset > st.st_size) offset = st.st_size;
-  if (length < 0 || offset + length > st.st_size) length = st.st_size - offset;
-
-  stream.write_all(response.serialize_head(static_cast<std::size_t>(length)));
-  if (request.method == "HEAD" || length == 0) {
-    ::close(fd);
-    return;
-  }
-
-  if (plain_tcp) {
-    // Zero-copy path.
-    plain_tcp->sendfile(fd, offset, static_cast<std::size_t>(length));
-  } else {
-    // Encrypted: read and push through the record layer.
-    if (::lseek(fd, offset, SEEK_SET) < 0) {
-      ::close(fd);
-      throw SystemError("lseek failed");
-    }
-    std::array<std::uint8_t, 64 * 1024> buf;
-    std::int64_t remaining = length;
-    while (remaining > 0) {
-      ssize_t n = ::read(fd, buf.data(),
-                         std::min<std::int64_t>(remaining,
-                                                static_cast<std::int64_t>(buf.size())));
-      if (n <= 0) break;
-      stream.write_all(std::span<const std::uint8_t>(buf.data(),
-                                                     static_cast<std::size_t>(n)));
-      remaining -= n;
-    }
-  }
-  ::close(fd);
 }
 
 }  // namespace clarens::http

@@ -12,23 +12,24 @@
 //     through a per-connection sans-IO tls::Engine, so handshakes and
 //     record decryption are driven by readiness events, never by a
 //     blocking read;
-//   * complete requests are queued per connection. Small, measured-cheap
-//     requests are executed *inline* on the reactor thread (adaptive
-//     dispatch: per-method EWMA cost, body-size cap, per-epoll-tick
-//     budget), with responses written non-blockingly — any unsent tail
-//     parks in a per-connection outbox drained on EPOLLOUT. Everything
-//     else spills to the `util::ThreadPool` workers that run the handler
-//     and write the response blockingly (keep-alive pipelining and
-//     per-connection ordering preserved in both modes, and across mode
-//     switches);
+//   * complete requests are queued per connection. A request the embedder
+//     marks cheap runs *inline* on the reactor thread while its body is
+//     small and this epoll tick's wall-clock budget lasts (DESIGN.md
+//     "Dispatch policy"), with its response written non-blockingly — any
+//     unsent tail parks in a per-connection outbox drained on EPOLLOUT.
+//     Everything else spills to the `util::ThreadPool` workers that run
+//     the handler and write the response blockingly (keep-alive
+//     pipelining and per-connection ordering preserved in both modes, and
+//     across mode switches);
 //   * connection teardown is always executed on the reactor thread
 //     (workers schedule it via Reactor::post), so an fd is never closed
 //     while the reactor might still act on it.
 //
-// File-region responses use sendfile(2) on plaintext connections — the
-// zero-copy path §2.3 credits for file throughput — optionally wrapped in
-// an RPC envelope (FileRegion::head/tail) so large file.read responses
-// bypass the serialization arena entirely.
+// File-region responses stream through net::Stream::send_file —
+// sendfile(2) on plaintext connections, the zero-copy path §2.3 credits
+// for file throughput, and a pread loop through the record layer on TLS —
+// optionally wrapped in an RPC envelope (FileRegion::head/tail) so large
+// file.read responses bypass the serialization arena entirely.
 #pragma once
 
 #include <atomic>
@@ -68,14 +69,13 @@ struct ServerOptions {
   std::uint16_t port = 0;  // 0 = ephemeral
   std::optional<tls::TlsConfig> tls;
   std::size_t max_connections = 1024;
-  /// Inline-dispatch cost key (DESIGN.md "Dispatch policy"): maps a
-  /// parsed request to its cost-tracking key ("" = never inline). The
-  /// reactor runs a request inline iff the key is non-empty, the body is
-  /// small, the key's EWMA cost is under the limit, and this epoll tick's
-  /// inline budget is not exhausted; otherwise it spills to the worker
-  /// pool. Unset = inline dispatch disabled: only the embedder knows
-  /// which handlers are safe to run on the reactor thread.
-  std::function<std::string(const Request&)> cost_key;
+  /// Inline-dispatch predicate (DESIGN.md "Dispatch policy"): true when
+  /// the request's handler is in-memory and cheap. The reactor runs a
+  /// request inline iff this says yes, the body is at most 16 KiB, and
+  /// this epoll tick's 5 ms wall-clock budget is not spent; otherwise it
+  /// spills to the worker pool. Unset = inline dispatch disabled: only the
+  /// embedder knows which handlers are safe to run on the reactor thread.
+  std::function<bool(const Request&)> inline_ok;
 };
 
 class Server {
@@ -128,11 +128,11 @@ class Server {
     util::Buffer outbox;
     bool want_write = false;  // reactor thread only: EPOLLOUT armed
 
-    /// A parsed request plus its dispatch-cost key (computed once on the
-    /// reactor at parse time; "" = never inline).
+    /// A parsed request plus the embedder's inline verdict (computed once
+    /// on the reactor at parse time).
     struct Pending {
       Request request;
-      std::string cost_key;
+      bool inline_ok = false;
     };
 
     util::Mutex mutex{util::LockLevel::kHttpConn};
@@ -165,21 +165,23 @@ class Server {
   /// bytes that would have to go first. Caller is the only writer.
   static void refuse_if_malformed(Conn& conn);
 
-  // Dispatch-policy state.
-  bool inline_eligible(const Conn::Pending& item) CLARENS_EXCLUDES(costs_mutex_);
-  double cost_of(const std::string& key) CLARENS_EXCLUDES(costs_mutex_);
-  void note_cost(const std::string& key, double us) CLARENS_EXCLUDES(costs_mutex_);
+  /// Dispatch policy: the embedder's verdict and this tick's budget.
+  bool inline_eligible(const Conn::Pending& item);
 
   // Worker-side.
   void worker_drain(std::shared_ptr<Conn> conn);
-  void worker_send(Conn& conn, const Request& request, Response response);
+  /// Blocking send by the connection's drainer. Seals the connection when
+  /// the write fails or `close_after` is set; returns false when sealed.
+  static bool send_or_seal(Conn& conn, const Request& request,
+                           const Response& response, bool close_after);
   void request_close(const std::shared_ptr<Conn>& conn);
 
-  Response run_handler(const Request& request, const Peer& peer,
-                       const std::string& cost_key);
+  /// Drain then close: no further request on `conn` is dispatched.
+  static void seal(Conn& conn);
+  /// Runs the handler (a throw becomes a 500) and marks the response
+  /// "Connection: close" when the request does not keep the connection.
+  Response run_handler(const Request& request, const Peer& peer);
   std::size_t live_connections();
-  void send_response(net::Stream& stream, net::TcpConnection* plain_tcp,
-                     const Request& request, Response response);
 
   ServerOptions options_;
   HandlerFn handler_;
@@ -196,11 +198,6 @@ class Server {
   util::Mutex conns_mutex_{util::LockLevel::kHttpServerConns};
   std::unordered_map<int, std::shared_ptr<Conn>> conns_
       CLARENS_GUARDED_BY(conns_mutex_);
-
-  // Per-method EWMA handler cost in microseconds, updated after every
-  // execution (inline and worker alike).
-  util::Mutex costs_mutex_{util::LockLevel::kHttpServerCosts};
-  std::unordered_map<std::string, double> costs_ CLARENS_GUARDED_BY(costs_mutex_);
 
   // Inline budget accounting; reactor thread only.
   std::uint64_t budget_tick_ = 0;

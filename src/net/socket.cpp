@@ -10,6 +10,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -137,21 +138,15 @@ std::size_t TcpConnection::read(std::span<std::uint8_t> out) {
 }
 
 void TcpConnection::write_all(std::span<const std::uint8_t> data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::write(fd_.get(), data.data() + sent, data.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Non-blocking fd with a full socket buffer: wait for drainage so
-        // write_all keeps its full-span contract on worker-owned writes.
-        // clarens-lint: allow(reactor-blocking): worker-side blocking write; the reactor's inline path uses writev_some + outbox instead.
-        wait_writable(-1);
-        continue;
-      }
-      throw_errno("write");
+  while (!data.empty()) {
+    std::size_t n = write_some(data);
+    if (n == 0) {
+      // Non-blocking fd with a full socket buffer: wait for drainage so
+      // write_all keeps its full-span contract on worker-owned writes.
+      // clarens-lint: allow(reactor-blocking): worker-side blocking write; the reactor's inline path uses writev_some + outbox instead.
+      wait_writable(-1);
     }
-    sent += static_cast<std::size_t>(n);
+    data = data.subspan(n);
   }
 }
 
@@ -162,51 +157,24 @@ void Stream::write_vec(std::span<const std::string_view> chunks) {
 void TcpConnection::write_vec(std::span<const std::string_view> chunks) {
   // One writev(2) in the common case: header + body leave the process in
   // a single syscall without gluing them into a temporary string.
-  iovec iov[8];
-  std::size_t count = 0;
-  std::size_t total = 0;
-  for (std::string_view chunk : chunks) {
-    if (chunk.empty()) continue;
-    if (count == std::size(iov)) {  // overflow: flush what we have
-      break;
+  std::size_t done = 0;  // bytes of chunks.front() already written
+  while (!chunks.empty()) {
+    std::array<std::string_view, 8> window;
+    std::size_t count = std::min(chunks.size(), window.size());
+    std::copy_n(chunks.begin(), count, window.begin());
+    window[0].remove_prefix(done);
+    std::size_t n = writev_some(std::span(window.data(), count));
+    done += n;
+    bool advanced = n > 0;
+    while (!chunks.empty() && done >= chunks.front().size()) {
+      done -= chunks.front().size();
+      chunks = chunks.subspan(1);
+      advanced = true;
     }
-    iov[count].iov_base = const_cast<char*>(chunk.data());
-    iov[count].iov_len = chunk.size();
-    total += chunk.size();
-    ++count;
-  }
-  if (count == 0) return;
-  std::size_t sent = 0;
-  std::size_t first = 0;
-  while (sent < total) {
-    ssize_t n = ::writev(fd_.get(), iov + first, static_cast<int>(count - first));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // clarens-lint: allow(reactor-blocking): worker-side blocking write; the reactor's inline path uses writev_some + outbox instead.
-        wait_writable(-1);
-        continue;
-      }
-      throw_errno("writev");
+    if (!advanced) {
+      // clarens-lint: allow(reactor-blocking): worker-side blocking write; the reactor's inline path uses writev_some + outbox instead.
+      wait_writable(-1);
     }
-    sent += static_cast<std::size_t>(n);
-    // Skip fully-sent iovecs; trim a partially-sent one.
-    std::size_t done = static_cast<std::size_t>(n);
-    while (first < count && done >= iov[first].iov_len) {
-      done -= iov[first].iov_len;
-      ++first;
-    }
-    if (first < count && done > 0) {
-      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + done;
-      iov[first].iov_len -= done;
-    }
-  }
-  // Chunks beyond the iovec window (rare: >8 non-empty chunks) fall back.
-  std::size_t consumed = 0;
-  for (std::string_view chunk : chunks) {
-    if (chunk.empty()) continue;
-    if (consumed == std::size(iov)) write_all(chunk);
-    else ++consumed;
   }
 }
 
@@ -279,8 +247,28 @@ void TcpConnection::set_nodelay(bool on) {
   }
 }
 
-std::size_t TcpConnection::sendfile(int file_fd, std::int64_t offset,
-                                    std::size_t count) {
+std::size_t Stream::send_file(int file_fd, std::int64_t offset,
+                              std::size_t count) {
+  std::array<std::uint8_t, 64 * 1024> buf;
+  std::size_t total = 0;
+  while (total < count) {
+    ssize_t n =
+        ::pread(file_fd, buf.data(), std::min(count - total, buf.size()),
+                static_cast<off_t>(offset) + static_cast<off_t>(total));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("pread");
+    }
+    if (n == 0) break;  // EOF on source file
+    write_all(std::span<const std::uint8_t>(buf.data(),
+                                            static_cast<std::size_t>(n)));
+    total += static_cast<std::size_t>(n);
+  }
+  return total;
+}
+
+std::size_t TcpConnection::send_file(int file_fd, std::int64_t offset,
+                                     std::size_t count) {
   off_t off = static_cast<off_t>(offset);
   std::size_t total = 0;
   while (total < count) {
@@ -293,75 +281,13 @@ std::size_t TcpConnection::sendfile(int file_fd, std::int64_t offset,
         continue;
       }
       if ((errno == EINVAL || errno == ENOSYS) && total == 0) {
-        // Kernel refuses sendfile for this fd pair (e.g. the source is
-        // not mmap-able): degrade to splice through a pipe, still never
-        // copying the payload into userspace.
-        return splice_from(file_fd, offset, count);
+        // The kernel refuses sendfile for this fd pair (e.g. the source
+        // is not mmap-able): copy through userspace instead.
+        return Stream::send_file(file_fd, offset, count);
       }
       throw_errno("sendfile");
     }
     if (n == 0) break;  // EOF on source file
-    total += static_cast<std::size_t>(n);
-  }
-  return total;
-}
-
-std::size_t TcpConnection::splice_from(int file_fd, std::int64_t offset,
-                                       std::size_t count) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    return copy_from(file_fd, offset, count);  // no pipes left: plain copy
-  }
-  Fd pipe_r(pipe_fds[0]);
-  Fd pipe_w(pipe_fds[1]);
-  loff_t off = static_cast<loff_t>(offset);
-  std::size_t total = 0;
-  while (total < count) {
-    ssize_t in = ::splice(file_fd, &off, pipe_w.get(), nullptr, count - total,
-                          SPLICE_F_MOVE);
-    if (in < 0) {
-      if (errno == EINTR) continue;
-      if ((errno == EINVAL || errno == ENOSYS) && total == 0) {
-        return copy_from(file_fd, offset, count);
-      }
-      throw_errno("splice(file->pipe)");
-    }
-    if (in == 0) break;  // EOF on source file
-    std::size_t in_pipe = static_cast<std::size_t>(in);
-    while (in_pipe > 0) {
-      ssize_t out = ::splice(pipe_r.get(), nullptr, fd_.get(), nullptr,
-                             in_pipe, SPLICE_F_MOVE);
-      if (out < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          // clarens-lint: allow(reactor-blocking): worker-side streaming path, like sendfile above.
-          wait_writable(-1);
-          continue;
-        }
-        throw_errno("splice(pipe->socket)");
-      }
-      in_pipe -= static_cast<std::size_t>(out);
-      total += static_cast<std::size_t>(out);
-    }
-  }
-  return total;
-}
-
-std::size_t TcpConnection::copy_from(int file_fd, std::int64_t offset,
-                                     std::size_t count) {
-  std::size_t total = 0;
-  std::array<std::uint8_t, 64 * 1024> buf;
-  while (total < count) {
-    std::size_t want = std::min(count - total, buf.size());
-    ssize_t n = ::pread(file_fd, buf.data(), want,
-                        static_cast<off_t>(offset + static_cast<std::int64_t>(total)));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("pread");
-    }
-    if (n == 0) break;  // EOF on source file
-    write_all(std::span<const std::uint8_t>(buf.data(),
-                                            static_cast<std::size_t>(n)));
     total += static_cast<std::size_t>(n);
   }
   return total;

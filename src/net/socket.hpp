@@ -48,9 +48,17 @@ class Stream {
 
   /// Scatter-gather write of all chunks, in order. The base implementation
   /// loops write_all (TLS streams must encrypt per record anyway); the TCP
-  /// stream overrides it with a single writev(2) so a response's header and
-  /// body leave in one syscall without being glued into a temporary.
+  /// stream overrides it with writev(2) so a response's header and body
+  /// leave in one syscall without being glued into a temporary.
   virtual void write_vec(std::span<const std::string_view> chunks);
+
+  /// Blocking send of `count` bytes of `file_fd` starting at `offset`.
+  /// Returns the bytes sent, which is short of `count` only when the file
+  /// ends first. The base implementation reads blocks with pread(2) and
+  /// writes each through write_all (TLS streams must encrypt the bytes
+  /// anyway); the TCP stream overrides it with sendfile(2).
+  virtual std::size_t send_file(int file_fd, std::int64_t offset,
+                                std::size_t count);
 
   virtual void close() = 0;
 
@@ -92,10 +100,10 @@ class TcpConnection : public Stream {
   std::optional<std::size_t> read_some(std::span<std::uint8_t> out);
   /// write: returns bytes accepted (possibly 0 on EAGAIN).
   std::size_t write_some(std::span<const std::uint8_t> data);
-  /// Vectored non-blocking write: one writev(2) attempt over up to 8
-  /// chunks; returns bytes accepted (possibly 0 on EAGAIN). The reactor's
-  /// inline-dispatch path sends header + body with this and parks any
-  /// remainder in a per-connection outbox instead of blocking.
+  /// Vectored non-blocking write: one writev(2) attempt over the first 8
+  /// non-empty chunks; returns bytes accepted (possibly 0 on EAGAIN). The
+  /// reactor's inline-dispatch path sends header + body with this and
+  /// parks any remainder in a per-connection outbox instead of blocking.
   std::size_t writev_some(std::span<const std::string_view> chunks);
 
   void set_nonblocking(bool on);
@@ -109,17 +117,14 @@ class TcpConnection : public Stream {
   int fd() const { return fd_.get(); }
   bool valid() const { return fd_.valid(); }
 
-  /// Zero-copy transfer from a file descriptor using sendfile(2) — the
-  /// syscall the paper credits for low-CPU high-throughput file serving.
-  /// Falls back to splice(2) through a pipe, then to a read/write loop,
-  /// when the kernel refuses sendfile for this fd pair. Returns bytes
-  /// sent. Polls for writability on non-blocking sockets.
-  std::size_t sendfile(int file_fd, std::int64_t offset, std::size_t count);
+  /// Zero-copy send_file using sendfile(2) — the syscall the paper
+  /// credits for low-CPU high-throughput file serving. Falls back to the
+  /// base pread loop when the kernel refuses sendfile for this fd pair.
+  /// Polls for writability on non-blocking sockets.
+  std::size_t send_file(int file_fd, std::int64_t offset,
+                        std::size_t count) override;
 
  private:
-  std::size_t splice_from(int file_fd, std::int64_t offset, std::size_t count);
-  std::size_t copy_from(int file_fd, std::int64_t offset, std::size_t count);
-
   Fd fd_;
 };
 

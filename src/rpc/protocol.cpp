@@ -29,6 +29,24 @@ const char* content_type(Protocol protocol) {
   return "application/octet-stream";
 }
 
+namespace {
+
+/// True when the document's root element is a SOAP Envelope, by local
+/// name (any namespace prefix). Only the prolog and the root's start tag
+/// are read. A body that is not well-formed up to there is not SOAP; the
+/// XML-RPC parser then reports the error.
+bool soap_root(std::string_view body) {
+  try {
+    XmlPullParser parser(body);
+    return parser.next() == XmlPullParser::Event::StartTag &&
+           parser.local_name() == "Envelope";
+  } catch (const ParseError&) {
+    return false;
+  }
+}
+
+}  // namespace
+
 Protocol detect(std::string_view content_type_header, std::string_view body) {
   // The binary frame is unambiguous: match its magic before anything else.
   if (body.size() >= 4 && body.substr(0, 4) == std::string_view(binrpc::kMagic, 4)) {
@@ -39,17 +57,16 @@ Protocol detect(std::string_view content_type_header, std::string_view body) {
   if (util::icontains(ct, "json")) return Protocol::JsonRpc;
   if (util::icontains(ct, "soap")) return Protocol::Soap;
   if (util::icontains(ct, "xml")) {
-    // Both XML-RPC and SOAP arrive as text/xml from old clients; sniff.
-    if (body.find("Envelope") != std::string_view::npos) return Protocol::Soap;
-    return Protocol::XmlRpc;
+    // Both XML-RPC and SOAP arrive as text/xml from old clients; the root
+    // element tells them apart.
+    return soap_root(body) ? Protocol::Soap : Protocol::XmlRpc;
   }
   // Content-Type missing or generic: sniff the body.
   std::string_view trimmed = util::trim(body);
   if (!trimmed.empty() && (trimmed.front() == '{' || trimmed.front() == '[')) {
     return Protocol::JsonRpc;
   }
-  if (trimmed.find("Envelope") != std::string_view::npos) return Protocol::Soap;
-  return Protocol::XmlRpc;
+  return soap_root(trimmed) ? Protocol::Soap : Protocol::XmlRpc;
 }
 
 std::string peek_method(Protocol protocol, std::string_view body) {
@@ -86,7 +103,7 @@ std::string peek_method(Protocol protocol, std::string_view body) {
     case Protocol::JsonRpc: {
       // Depth-aware scan: only a "method" key of the top-level object
       // counts, so a nested {"params":{"method":...}} cannot spoof the
-      // dispatch cost key and buy an optimistic inline first run. The
+      // inline-dispatch decision and run another method on the reactor. The
       // parser's Value::set overwrites duplicate keys (last wins), so on
       // duplicates keep the last candidate for the same reason.
       constexpr std::string_view kWs = " \t\r\n";

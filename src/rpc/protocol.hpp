@@ -15,13 +15,15 @@ const char* to_string(Protocol protocol);
 /// MIME type for HTTP Content-Type.
 const char* content_type(Protocol protocol);
 
-/// Choose the protocol from a Content-Type header value and the body.
+/// Choose the protocol from a Content-Type header value and the body. An
+/// XML body under text/xml or no Content-Type is SOAP iff its root
+/// element's local name is Envelope.
 Protocol detect(std::string_view content_type_header, std::string_view body);
 
 /// Cheap, never-throwing method-name extraction from an unparsed request
-/// body — the HTTP server's inline-dispatch policy keys its per-method
-/// cost table on this at parse time, before deciding which thread runs
-/// the full parse + handler. Returns either exactly the method
+/// body — the core server's inline-dispatch predicate reads this at parse
+/// time, before deciding which thread runs the full parse + handler.
+/// Returns either exactly the method
 /// parse_request would dispatch, or "" (the request then always takes
 /// the worker path, where the real parser reports any error). XML-RPC
 /// and SOAP run the codec's own locating step; JSON-RPC and binary scan

@@ -10,7 +10,8 @@
 //   * src/util/sync.hpp — the runtime deadlock detector
 //     (CLARENS_LOCK_RANK_CHECK) aborts on upward/sideways acquisition;
 //   * tools/lint/lint.cpp — lock-order / lock-cycle / undeclared-mutex
-//     rules validate declared edges and the global lock graph;
+//     rules validate declared edges and the global lock graph, and
+//     unused-lock-level flags a row no mutex under src/ names;
 //   * docs/CONCURRENCY.md — the human-readable table between the
 //     CLARENS_LOCK_TABLE markers is generated from this list
 //     (`clarens_lint --lock-table`) and drift-checked by the
@@ -19,7 +20,8 @@
 // To add a level: pick the rank from the nesting it needs (what will be
 // held when it is acquired? what does it acquire while held?), add an
 // X() row below, and run `clarens_lint --lock-table` to refresh the
-// docs table (the drift test tells you when you forget).
+// docs table (the drift test tells you when you forget). Deleting the
+// last mutex at a level means deleting its row too.
 #pragma once
 
 // X(enumerator, level-name, rank, what-it-guards)
@@ -69,8 +71,6 @@
   X(kHttpServerConns, "http.server.conns", 60, "HTTP connection table")       \
   X(kHttpConn, "http.conn", 61,                                               \
     "per-connection ready queue, busy token and outbox")                      \
-  X(kHttpServerCosts, "http.server.costs", 62,                                \
-    "per-method inline-dispatch EWMA cost map")                               \
   X(kNetReactorTasks, "net.reactor.tasks", 70,                                \
     "reactor callback/task registry (queue flips only)")                      \
   X(kUtilThreadPool, "util.thread_pool", 75,                                  \

@@ -122,7 +122,11 @@ TEST(Client, WrongKeyChallengeRejected) {
   server.stop();
 }
 
-TEST(Client, GetRangeRequests) {
+// GET file serving over both transports: plaintext streams the region
+// with sendfile(2), TLS with the base pread loop through the record layer.
+class ClientGet : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ClientGet, RangeRequests) {
   const TestPki& pki = TestPki::instance();
   TempDir tmp;
   std::string dir = tmp.sub("files");
@@ -130,23 +134,41 @@ TEST(Client, GetRangeRequests) {
     std::ofstream out(dir + "/blob.bin", std::ios::binary);
     out << "0123456789ABCDEF";
   }
+  std::string big;
+  for (int i = 0; i < 200000; ++i) big += static_cast<char>('a' + i % 19);
+  std::ofstream(dir + "/big.bin", std::ios::binary) << big;
   core::ClarensConfig config = open_config(pki);
   config.file_roots = {{"/data", dir}};
   core::FileAcl facl;
   facl.read.allow_dns = {core::AclSpec::kAnyone};
   config.initial_file_acls = {{"/data", facl}};
+  config.use_tls = GetParam();
+  if (GetParam()) config.credential = pki.server;
   core::ClarensServer server(std::move(config));
   server.start();
 
-  ClarensClient client(options_for(pki, server.port()));
+  ClientOptions options = options_for(pki, server.port());
+  options.use_tls = GetParam();
+  ClarensClient client(options);
   client.connect();
   client.authenticate();
   EXPECT_EQ(client.get("/data/blob.bin").body, "0123456789ABCDEF");
   EXPECT_EQ(client.get("/data/blob.bin", 4, 4).body, "4567");
   EXPECT_EQ(client.get("/data/blob.bin", 10, -1).body, "ABCDEF");
+  // Ranges are clamped to the file.
+  EXPECT_EQ(client.get("/data/blob.bin", 12, 100).body, "CDEF");
+  EXPECT_EQ(client.get("/data/blob.bin", 100, 4).body, "");
+  EXPECT_TRUE(client.get("/data/big.bin").body == big);
+  EXPECT_TRUE(client.get("/data/big.bin", 70000, 90000).body ==
+              big.substr(70000, 90000));
   EXPECT_EQ(client.get("/data/ghost").status, 404);
   server.stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, ClientGet, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Tls" : "Plain");
+                         });
 
 // Scripted keep-alive peer for the retry-policy tests: every request is
 // answered with its 1-based sequence number, except request `drop_at`,

@@ -1,10 +1,17 @@
 // Unit tests for the DB-backed session manager.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/session.hpp"
 #include "db/store.hpp"
 #include "test_fixtures.hpp"
 #include "util/error.hpp"
+#include "util/sync.hpp"
 
 namespace clarens::core {
 namespace {
@@ -104,6 +111,36 @@ TEST(Sessions, ReapSweepsExpiredUnansweredChallenges) {
   EXPECT_FALSE(store.get("challenges", "stale").has_value());
   EXPECT_TRUE(store.get("challenges", live).has_value());
   EXPECT_NO_THROW(sessions.consume_challenge(live));
+}
+
+TEST(Sessions, ConcurrentConsumersSpendEachNonceOnce) {
+  // Two system.auth calls racing on one nonce: exactly one may spend it.
+  db::Store store;
+  SessionManager sessions(store);
+  constexpr int kNonces = 200;
+  constexpr int kThreads = 8;
+  std::vector<std::string> nonces;
+  for (int i = 0; i < kNonces; ++i) nonces.push_back(sessions.issue_challenge());
+  std::array<std::atomic<int>, kNonces> spent{};
+  std::atomic<int> ready{0};
+  std::vector<util::Thread> consumers;
+  for (int t = 0; t < kThreads; ++t) {
+    consumers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kNonces; ++i) {
+        try {
+          sessions.consume_challenge(nonces[static_cast<std::size_t>(i)]);
+          spent[static_cast<std::size_t>(i)].fetch_add(1);
+        } catch (const AuthError&) {
+        }
+      }
+    });
+  }
+  for (util::Thread& consumer : consumers) consumer.join();
+  for (int i = 0; i < kNonces; ++i) {
+    EXPECT_EQ(spent[static_cast<std::size_t>(i)].load(), 1) << "nonce " << i;
+  }
 }
 
 TEST(Sessions, PersistAcrossStoreReopen) {

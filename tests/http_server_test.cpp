@@ -2,12 +2,14 @@
 // in http_test.cpp do not pin down: keep-alive pipelining (multiple
 // requests in one TCP segment, responses in order), requests arriving in
 // arbitrary partial pieces, Connection: close semantics, the non-blocking
-// 503 load-shed path, many concurrent keep-alive connections, the
-// best-effort 400 refusal of a malformed stream, and prompt stop() with
-// idle connections still open.
+// 503 load-shed path, many concurrent keep-alive connections, inline
+// dispatch and its tick budget, file-region streaming over plaintext and
+// TLS, the best-effort 400 refusal of a malformed stream, and prompt
+// stop() with idle connections still open.
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <span>
@@ -201,23 +203,24 @@ TEST(ServerConcurrency, ManyKeepAliveConnectionsInParallel) {
   server.stop();
 }
 
-// --- Adaptive inline dispatch -------------------------------------------
+// --- Inline dispatch ----------------------------------------------------
 //
-// With a cost key configured, measured-cheap requests run directly on the
-// reactor thread; everything else (no key, measured-slow, over budget)
-// takes the worker-pool handoff. The split must be invisible on the wire:
-// per-connection ordering and response bytes are identical either way.
+// Requests the inline_ok predicate accepts run directly on the reactor
+// thread while the epoll tick's budget lasts; everything else (predicate
+// says no, budget spent) takes the worker-pool handoff. The split must be
+// invisible on the wire: per-connection ordering and response bytes are
+// identical either way.
 
-ServerOptions inline_options(
-    std::function<std::string(const Request&)> cost_key) {
+ServerOptions inline_options(std::function<bool(const Request&)> inline_ok) {
   ServerOptions options;
-  options.cost_key = std::move(cost_key);
+  options.inline_ok = std::move(inline_ok);
   return options;
 }
 
+bool always(const Request&) { return true; }
+
 TEST(ServerInlineDispatch, CheapRequestsRunOnTheReactor) {
-  Server server = make_echo_server(
-      inline_options([](const Request& request) { return request.target; }));
+  Server server = make_echo_server(inline_options(always));
   server.start();
   net::TcpConnection conn =
       net::TcpConnection::connect("127.0.0.1", server.port());
@@ -228,22 +231,21 @@ TEST(ServerInlineDispatch, CheapRequestsRunOnTheReactor) {
     EXPECT_EQ(responses[0].body, "echo:ping" + std::to_string(i));
   }
   EXPECT_EQ(server.requests_served(), 10u);
-  // An unknown method is optimistically inlined and the echo handler is
-  // far cheaper than the cost ceiling, so every request stays inline.
+  // The echo handler is far under the tick budget, so every request
+  // stays inline.
   EXPECT_EQ(server.requests_inlined(), 10u);
   server.stop();
 }
 
 TEST(ServerInlineDispatch, PipelinedMixOfInlineAndSpilledStaysOrdered) {
-  // Odd-length bodies get no cost key, forcing the worker-pool path;
-  // even ones are inline-eligible. All 20 ride one TCP segment, starting
-  // with an eligible request so the reactor takes the queue first; the
-  // first odd body then hands the busy token (and the rest of the queue)
-  // to a worker. Responses must come back in request order regardless of
-  // which side produced them.
-  Server server = make_echo_server(inline_options([](const Request& request) {
-    return request.body.size() % 2 == 0 ? "cheap" : std::string();
-  }));
+  // Odd-length bodies are refused by the predicate, forcing the
+  // worker-pool path; even ones are inline-eligible. All 20 ride one TCP
+  // segment, starting with an eligible request so the reactor takes the
+  // queue first; the first odd body then hands the busy token (and the
+  // rest of the queue) to a worker. Responses must come back in request
+  // order regardless of which side produced them.
+  Server server = make_echo_server(inline_options(
+      [](const Request& request) { return request.body.size() % 2 == 0; }));
   server.start();
   net::TcpConnection conn =
       net::TcpConnection::connect("127.0.0.1", server.port());
@@ -265,30 +267,33 @@ TEST(ServerInlineDispatch, PipelinedMixOfInlineAndSpilledStaysOrdered) {
   server.stop();
 }
 
-TEST(ServerInlineDispatch, MeasuredSlowMethodsStopBeingInlined) {
-  ServerOptions options;
-  options.cost_key = [](const Request&) { return "slow.method"; };
-  Server server(std::move(options), [](const Request& request, const Peer&) {
+TEST(ServerInlineDispatch, TickBudgetSpillsASlowPipelinedBurst) {
+  // Every request is eligible, but each handler takes 3 ms of the tick's
+  // 5 ms wall-clock budget: the burst starts inline and, once the budget
+  // is spent, the rest of it spills to a worker — still in order.
+  Server server(inline_options(always), [](const Request& request, const Peer&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     return Response::make(200, "echo:" + request.body);
   });
   server.start();
   net::TcpConnection conn =
       net::TcpConnection::connect("127.0.0.1", server.port());
+  std::string wire;
+  for (int i = 0; i < 8; ++i) wire += post("r" + std::to_string(i));
+  conn.write_all(wire);
+  std::vector<Response> responses = read_responses(conn, 8);
+  ASSERT_EQ(responses.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    conn.write_all(post("r" + std::to_string(i)));
-    ASSERT_EQ(read_responses(conn, 1).size(), 1u);
+    EXPECT_EQ(responses[i].body, "echo:r" + std::to_string(i));
   }
   EXPECT_EQ(server.requests_served(), 8u);
-  // The first call is optimistically inlined (unknown cost); its 3 ms
-  // measurement lands far above the 500 µs ceiling, so the EWMA keeps
-  // every later call on the worker pool.
-  EXPECT_LE(server.requests_inlined(), 2u);
+  EXPECT_GE(server.requests_inlined(), 1u);
+  EXPECT_LT(server.requests_inlined(), 8u);
   server.stop();
 }
 
 TEST(ServerInlineDispatch, DisabledMeansEveryRequestTakesAWorker) {
-  // No cost key = inline dispatch off.
+  // No predicate = inline dispatch off.
   Server server = make_echo_server();
   server.start();
   net::TcpConnection conn =
@@ -328,9 +333,7 @@ TEST_P(ServerMalformedRefusal, ValidResponseThen400ThenEof) {
     tls.trust = &pki.trust;
     options.tls = std::move(tls);
   }
-  if (param.served == Served::Inline) {
-    options.cost_key = [](const Request&) { return std::string("cheap"); };
-  }
+  if (param.served == Served::Inline) options.inline_ok = always;
   Server server = make_echo_server(std::move(options));
   server.start();
 
@@ -374,6 +377,100 @@ INSTANTIATE_TEST_SUITE_P(
                                                                  : "GarbageAlone";
       return std::string(info.param.tls ? "Tls" : "Plain") + served;
     });
+
+// --- File regions -------------------------------------------------------
+//
+// File-region responses stream through Stream::send_file: sendfile(2) on
+// plaintext, the base pread loop through the record layer on TLS. An
+// inline handler's region is handed to a worker with the drainer token.
+
+class ServerFileRegion : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 300000; ++i) content_ += static_cast<char>('a' + i % 23);
+    path_ = tmp_.path() + "/region.bin";
+    std::ofstream(path_, std::ios::binary) << content_;
+  }
+
+  /// A server whose every request is inline-eligible: "/file" answers
+  /// with `region` over path_, anything else echoes.
+  std::unique_ptr<Server> start_server(Response::FileRegion region) {
+    const clarens::testing::TestPki& pki = clarens::testing::TestPki::instance();
+    ServerOptions options = inline_options(always);
+    if (GetParam()) {
+      tls::TlsConfig tls;
+      tls.credential = pki.server;
+      tls.trust = &pki.trust;
+      options.tls = std::move(tls);
+    }
+    region.path = path_;
+    auto server = std::make_unique<Server>(
+        std::move(options), [region](const Request& request, const Peer&) {
+          if (request.target != "/file") {
+            return Response::make(200, "echo:" + request.body);
+          }
+          Response response = Response::make(200, "");
+          response.file = region;
+          return response;
+        });
+    server->start();
+    return server;
+  }
+
+  std::unique_ptr<net::Stream> connect(const Server& server) {
+    std::unique_ptr<net::Stream> conn = std::make_unique<net::TcpConnection>(
+        net::TcpConnection::connect("127.0.0.1", server.port()));
+    if (!GetParam()) return conn;
+    tls::TlsConfig client;
+    client.trust = &clarens::testing::TestPki::instance().trust;
+    return tls::SecureChannel::connect(std::move(conn), client);
+  }
+
+  clarens::testing::TempDir tmp_;
+  std::string path_;
+  std::string content_;
+};
+
+TEST_P(ServerFileRegion, InlineRegionStreamsFromAWorkerThenThePipelineResumes) {
+  std::unique_ptr<Server> server = start_server({"", 5, -1, "", ""});
+  std::unique_ptr<net::Stream> conn = connect(*server);
+  conn->write_all("GET /file HTTP/1.1\r\n\r\n" + post("after"));
+  std::vector<Response> responses = read_responses(*conn, 2);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_TRUE(responses[0].body == content_.substr(5));
+  EXPECT_EQ(responses[1].body, "echo:after");
+  EXPECT_EQ(server->requests_served(), 2u);
+  // The region's handler ran on the reactor; the worker that streamed it
+  // kept the token and answered the next request itself.
+  EXPECT_EQ(server->requests_inlined(), 1u);
+  server->stop();
+}
+
+TEST_P(ServerFileRegion, EnvelopeLongerThanItsFileClosesTheConnection) {
+  // The Content-Length promises 100 bytes the file does not have: the
+  // server must close rather than let the next response fill the gap.
+  std::int64_t size = static_cast<std::int64_t>(content_.size());
+  std::unique_ptr<Server> server =
+      start_server({"", 0, size + 100, "<head>", "<tail>"});
+  std::unique_ptr<net::Stream> conn = connect(*server);
+  conn->write_all("GET /file HTTP/1.1\r\n\r\n" + post("after"));
+  std::string raw;
+  std::array<std::uint8_t, 8192> buf;
+  for (std::size_t n; (n = conn->read(buf)) != 0;) {
+    raw.append(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  std::size_t body = raw.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos);
+  EXPECT_TRUE(raw.substr(body + 4) == "<head>" + content_);
+  EXPECT_EQ(raw.find("echo:after"), std::string::npos);
+  server->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, ServerFileRegion, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Tls" : "Plain");
+                         });
 
 TEST(ServerStop, ReturnsPromptlyWithIdleConnectionOpen) {
   Server server = make_echo_server();

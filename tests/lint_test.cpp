@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/lock_levels.hpp"
+
 namespace clarens::lint {
 namespace {
 
@@ -573,6 +575,57 @@ TEST(LintLockCycle, AcyclicGraphPasses) {
        "// lock-order: db.store.shard -> db.store.journal\n"},
   };
   EXPECT_FALSE(has_rule(lint_sources(files), "lock-cycle"));
+}
+
+// --- unused-lock-level ------------------------------------------------
+
+/// One ranked util::Mutex declaration per level in the table, except
+/// `skip`.
+std::string declarations_except(const std::string& skip) {
+  std::string out;
+#define CLARENS_TEST_DECL__(name, str, rank, doc)                   \
+  if (skip != #name) {                                              \
+    out += "util::Mutex m_" #name "{util::LockLevel::" #name "};\n"; \
+  }
+  CLARENS_LOCK_LEVEL_LIST(CLARENS_TEST_DECL__)
+#undef CLARENS_TEST_DECL__
+  return out;
+}
+
+const char* kTableFixture =
+    "#define CLARENS_LOCK_LEVEL_LIST(X) \\\n"
+    "  X(kHttpConn, \"http.conn\", 61, \"queue\") \\\n"
+    "  X(kUtilFault, \"util.fault\", 80, \"arm table\") \\\n";
+
+TEST(LintUnusedLockLevel, EveryLevelNamedPasses) {
+  std::vector<SourceFile> files = {
+      {"src/util/lock_levels.hpp", kTableFixture},
+      {"src/core/all.cpp", declarations_except("")},
+  };
+  EXPECT_FALSE(has_rule(lint_sources(files), "unused-lock-level"));
+}
+
+TEST(LintUnusedLockLevel, LevelNoMutexNamesIsFlaggedAtItsRow) {
+  std::vector<SourceFile> files = {
+      {"src/util/lock_levels.hpp", kTableFixture},
+      {"src/core/all.cpp", declarations_except("kUtilFault")},
+      // A mutex outside src/ does not keep a level alive.
+      {"tests/fault_test.cpp",
+       "util::Mutex m{util::LockLevel::kUtilFault};\n"},
+  };
+  std::vector<Violation> found = lint_sources(files);
+  ASSERT_EQ(rules_of(found), std::vector<std::string>{"unused-lock-level"});
+  EXPECT_EQ(found[0].file, "src/util/lock_levels.hpp");
+  EXPECT_EQ(found[0].line, 3);
+  EXPECT_NE(found[0].message.find("util.fault"), std::string::npos);
+}
+
+TEST(LintUnusedLockLevel, NeedsTheTableInTheLintSet) {
+  // Linting a single file says nothing about the rest of the tree.
+  EXPECT_FALSE(has_rule(
+      lint_content("src/core/one.cpp",
+                   "util::Mutex m{util::LockLevel::kHttpConn};\n"),
+      "unused-lock-level"));
 }
 
 }  // namespace

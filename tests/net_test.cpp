@@ -3,7 +3,10 @@
 
 #include <array>
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
@@ -144,7 +147,7 @@ TEST(Reactor, StopInterruptsRun) {
 }
 
 TEST(Sendfile, TransfersFileRegion) {
-  // Write a temp file, serve a slice of it via sendfile.
+  // Write a temp file, serve a slice of it via send_file (sendfile(2)).
   std::string path = "/tmp/clarens_sendfile_test.bin";
   {
     FILE* f = fopen(path.c_str(), "wb");
@@ -156,7 +159,7 @@ TEST(Sendfile, TransfersFileRegion) {
   util::Thread server([&listener, &path] {
     TcpConnection conn = listener.accept();
     FILE* f = fopen(path.c_str(), "rb");
-    conn.sendfile(fileno(f), 4, 8);
+    EXPECT_EQ(conn.send_file(fileno(f), 4, 8), 8u);
     fclose(f);
   });
   TcpConnection client = TcpConnection::connect("127.0.0.1", listener.local_port());
@@ -171,6 +174,72 @@ TEST(Sendfile, TransfersFileRegion) {
   EXPECT_EQ(got, "456789ab");
   server.join();
   remove(path.c_str());
+}
+
+/// Stream that records what it is asked to write.
+struct RecordingStream final : Stream {
+  std::string written;
+  std::size_t read(std::span<std::uint8_t>) override { return 0; }
+  void write_all(std::span<const std::uint8_t> data) override {
+    written.append(data.begin(), data.end());
+  }
+  using Stream::write_all;
+  void close() override {}
+};
+
+TEST(Sendfile, BaseStreamCopiesRegionAndStopsAtEof) {
+  // The base send_file (what TLS streams inherit) reads with pread and
+  // writes through write_all; a region past EOF comes back short.
+  std::string path = "/tmp/clarens_send_file_base_test.bin";
+  std::string content;
+  for (int i = 0; i < 100000; ++i) content += static_cast<char>('a' + i % 26);
+  {
+    FILE* f = fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    fwrite(content.data(), 1, content.size(), f);
+    fclose(f);
+  }
+  FILE* f = fopen(path.c_str(), "rb");
+  RecordingStream stream;
+  EXPECT_EQ(stream.send_file(fileno(f), 3, 70000), 70000u);
+  EXPECT_EQ(stream.written, content.substr(3, 70000));
+  stream.written.clear();
+  EXPECT_EQ(stream.send_file(fileno(f), 99990, 50), 10u);
+  EXPECT_EQ(stream.written, content.substr(99990));
+  fclose(f);
+  remove(path.c_str());
+}
+
+TEST(Tcp, WriteVecOnFullNonblockingSocketSendsEveryChunkInOrder) {
+  // More chunks than one writev window, far more bytes than a socket
+  // buffer: the blocking write_vec must wait out EAGAIN and resume
+  // mid-chunk without dropping or reordering bytes.
+  TcpListener listener = TcpListener::listen(0);
+  std::vector<std::string> parts;
+  std::string expected;
+  for (int i = 0; i < 20; ++i) {
+    parts.push_back(std::string(static_cast<std::size_t>(40000 + i),
+                                static_cast<char>('A' + i)));
+    if (i % 7 == 3) parts.emplace_back();  // empty chunks are skipped
+  }
+  for (const std::string& part : parts) expected += part;
+  util::Thread writer([&listener, &parts] {
+    TcpConnection conn = listener.accept();
+    conn.set_nonblocking(true);
+    std::vector<std::string_view> chunks(parts.begin(), parts.end());
+    conn.write_vec(chunks);
+  });
+  TcpConnection client = TcpConnection::connect("127.0.0.1", listener.local_port());
+  std::string got;
+  std::array<std::uint8_t, 4096> buf;
+  while (got.size() < expected.size()) {
+    std::size_t n = client.read(buf);
+    if (n == 0) break;
+    got.append(buf.begin(), buf.begin() + n);
+  }
+  writer.join();
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected);
 }
 
 }  // namespace

@@ -411,8 +411,29 @@ TEST(Protocol, DetectByContentType) {
   EXPECT_EQ(detect("", "CRPC\x01\x01rest"), Protocol::Binary);
   EXPECT_EQ(detect("application/soap+xml", "<x/>"), Protocol::Soap);
   EXPECT_EQ(detect("text/xml", "<?xml?><methodCall/>"), Protocol::XmlRpc);
-  // SOAP arriving as text/xml is sniffed by the Envelope marker.
+  // SOAP arriving as text/xml is told apart by its Envelope root.
   EXPECT_EQ(detect("text/xml", "<SOAP-ENV:Envelope/>"), Protocol::Soap);
+}
+
+TEST(Protocol, DetectReadsTheRootElementNotASubstring) {
+  // An XML-RPC call whose string parameter says "Envelope" is XML-RPC,
+  // with or without a Content-Type, and round-trips through its parser.
+  Request request;
+  request.method = "echo.echo";
+  request.params = {Value(std::string("SOAP Envelope"))};
+  std::string xmlrpc_wire = xmlrpc::serialize_request(request);
+  std::string soap_wire = soap::serialize_request(request);
+  for (std::string_view content_type : {"text/xml", ""}) {
+    ASSERT_EQ(detect(content_type, xmlrpc_wire), Protocol::XmlRpc);
+    Request parsed = parse_request(detect(content_type, xmlrpc_wire), xmlrpc_wire);
+    EXPECT_EQ(parsed.params.at(0).as_string(), "SOAP Envelope");
+    // A real envelope, under any prefix, is still SOAP.
+    EXPECT_EQ(detect(content_type, soap_wire), Protocol::Soap);
+    EXPECT_EQ(detect(content_type, "<?xml version=\"1.0\"?>\n<e:Envelope/>"),
+              Protocol::Soap);
+  }
+  // Malformed XML is left to the XML-RPC parser to report.
+  EXPECT_EQ(detect("text/xml", "<Envelope"), Protocol::XmlRpc);
 }
 
 TEST(Protocol, DetectByBodyWhenHeaderMissing) {
@@ -434,7 +455,7 @@ TEST(Protocol, PeekMethodJsonTopLevel) {
 }
 
 TEST(Protocol, PeekMethodIgnoresNestedAndDecoyKeys) {
-  // A nested "method" key must not spoof the dispatch cost key: the real
+  // A nested "method" key must not spoof the inline-dispatch peek: the real
   // top-level method is what the parser will dispatch.
   EXPECT_EQ(peek_method(
                 Protocol::JsonRpc,

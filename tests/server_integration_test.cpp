@@ -76,7 +76,7 @@ TEST(ServerIntegration, ChallengeAuthAndBasicCalls) {
 }
 
 TEST(ServerIntegration, InlineDispatchOffRunsEveryCallOnAWorker) {
-  // Off leaves the reactor no cost key, so even the cheap echo.echo
+  // Off leaves the reactor no inline predicate, so even the cheap echo.echo
   // calls take the worker handoff.
   const TestPki& pki = TestPki::instance();
   core::ClarensConfig config = base_config(pki);
@@ -94,15 +94,18 @@ TEST(ServerIntegration, InlineDispatchOffRunsEveryCallOnAWorker) {
   server.stop();
 }
 
-/// POST `body` verbatim on a fresh connection; returns the parsed RPC
-/// response.
-rpc::Response raw_call(std::uint16_t port, const std::string& session,
-                       rpc::Protocol protocol, const std::string& body) {
+/// POST `body` verbatim on a fresh connection under `content_type` (none
+/// when empty); returns the response parsed as `protocol`.
+rpc::Response raw_call_as(std::uint16_t port, const std::string& session,
+                          std::string_view content_type,
+                          rpc::Protocol protocol, const std::string& body) {
   http::Request request;
   request.method = "POST";
   request.target = "/clarens";
   request.headers.set("Host", "127.0.0.1");
-  request.headers.set("Content-Type", rpc::content_type(protocol));
+  if (!content_type.empty()) {
+    request.headers.set("Content-Type", std::string(content_type));
+  }
   request.headers.set("X-Clarens-Session", session);
   request.body = body;
   net::TcpConnection conn = net::TcpConnection::connect("127.0.0.1", port);
@@ -118,6 +121,41 @@ rpc::Response raw_call(std::uint16_t port, const std::string& session,
     if (n == 0) throw SystemError("connection closed before a response");
     parser.feed(std::span<const std::uint8_t>(buf.data(), n));
   }
+}
+
+/// raw_call_as under the protocol's own Content-Type.
+rpc::Response raw_call(std::uint16_t port, const std::string& session,
+                       rpc::Protocol protocol, const std::string& body) {
+  return raw_call_as(port, session, rpc::content_type(protocol), protocol,
+                     body);
+}
+
+TEST(ServerIntegration, EnvelopeInsideAnXmlRpcStringIsNotSoap) {
+  // Protocol detection reads the root element: "Envelope" inside an
+  // XML-RPC parameter does not make the call SOAP, whether it arrives as
+  // text/xml or with no Content-Type; a real envelope is still SOAP.
+  const TestPki& pki = TestPki::instance();
+  core::ClarensServer server(base_config(pki));
+  server.start();
+  client::ClarensClient client(client_options(pki, pki.bob, server.port()));
+  client.connect();
+  std::string session = client.authenticate();
+
+  rpc::Request echo;
+  echo.method = "echo.echo";
+  echo.params = {rpc::Value("SOAP Envelope")};
+  for (std::string_view content_type : {"text/xml", ""}) {
+    for (rpc::Protocol protocol : {rpc::Protocol::XmlRpc, rpc::Protocol::Soap}) {
+      rpc::Response response =
+          raw_call_as(server.port(), session, content_type, protocol,
+                      rpc::serialize_request(protocol, echo));
+      ASSERT_FALSE(response.is_fault)
+          << rpc::to_string(protocol) << " as '" << content_type
+          << "': " << response.fault_message;
+      EXPECT_EQ(response.result.as_string(), "SOAP Envelope");
+    }
+  }
+  server.stop();
 }
 
 TEST(ServerIntegration, InlineDispatchFollowsTheParsedMethod) {
@@ -341,6 +379,38 @@ TEST(ServerIntegration, FileServiceOverRpcAndGet) {
                            {rpc::Value("/data"), rpc::Value("note")});
   ASSERT_EQ(found.as_array().size(), 1u);
   EXPECT_EQ(found.as_array()[0].as_string(), "/data/note.txt");
+  server.stop();
+}
+
+TEST(ServerIntegration, DirectoryIndexEscapesNames) {
+  // File and directory names are caller-chosen; the GET index lists them
+  // as text, never as markup.
+  const TestPki& pki = TestPki::instance();
+  TempDir tmp;
+  std::string data_dir = tmp.sub("files");
+  std::string dir = data_dir + "/<b>";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/<img src=x onerror=alert(1)>.txt") << "x";
+
+  core::ClarensConfig config = base_config(pki);
+  config.file_roots = {{"/data", data_dir}};
+  core::FileAcl facl;
+  facl.read = allow_anyone();
+  config.initial_file_acls = {{"/data", facl}};
+  core::ClarensServer server(std::move(config));
+  server.start();
+
+  client::ClarensClient client(client_options(pki, pki.bob, server.port()));
+  client.connect();
+  http::Response index = client.get("/data/%3Cb%3E");
+  ASSERT_EQ(index.status, 200) << index.body;
+  EXPECT_NE(index.body.find("<h2>/data/&lt;b&gt;</h2>"), std::string::npos)
+      << index.body;
+  EXPECT_NE(index.body.find("<li>&lt;img src=x onerror=alert(1)&gt;.txt</li>"),
+            std::string::npos)
+      << index.body;
+  EXPECT_EQ(index.body.find("<img"), std::string::npos);
+  EXPECT_EQ(index.body.find("<b>"), std::string::npos);
   server.stop();
 }
 

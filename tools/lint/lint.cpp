@@ -188,7 +188,7 @@ const std::set<std::string>& known_rules() {
       "raw-sync",         "detach",           "net-blocking",
       "layering",         "raw-new",          "lock-order",
       "reactor-blocking", "undeclared-mutex", "held-over-call",
-      "lock-cycle",       "thread-pool",
+      "lock-cycle",       "thread-pool",      "unused-lock-level",
   };
   return rules;
 }
@@ -525,6 +525,7 @@ struct LevelEdge {
 /// Per-file result of the structural scan.
 struct FileScan {
   std::map<std::string, std::string> decls;  ///< var -> level ("?" ambiguous)
+  std::set<std::string> levels_named;        ///< every level a decl names
   struct VarEdge {
     std::string outer;  ///< mutex variable of the enclosing guard
     std::string inner;  ///< mutex variable of the nested guard
@@ -645,6 +646,7 @@ FileScan scan_lock_graph(const std::string& path,
                              "'; add it to src/util/lock_levels.hpp"});
           continue;
         }
+        scan.levels_named.insert(it->second);
         auto [slot, inserted] = scan.decls.emplace(var, it->second);
         if (!inserted && slot->second != it->second) {
           slot->second = "?";  // same name, different levels: ambiguous
@@ -1023,6 +1025,38 @@ void run_graph_pass(const std::vector<GraphInput>& inputs,
   }
 }
 
+/// unused-lock-level: when the lint set includes the level table, every
+/// level in it must be named by some mutex declaration under src/, so a
+/// deleted mutex cannot leave a dead rank behind.
+void check_unused_levels(const std::vector<SourceFile>& files,
+                         const std::vector<GraphInput>& inputs,
+                         std::map<std::string, std::vector<Violation>>& per_file) {
+  auto table = std::find_if(files.begin(), files.end(), [](const SourceFile& f) {
+    return path_ends_with(f.path, "src/util/lock_levels.hpp");
+  });
+  if (table == files.end()) return;
+  std::set<std::string> named;
+  for (const GraphInput& input : inputs) {
+    if (!path_in(input.path, "src")) continue;
+    named.insert(input.scan.levels_named.begin(), input.scan.levels_named.end());
+  }
+  for (const auto& [enumerator, name] : levels().by_enum) {
+    if (named.count(name) != 0) continue;
+    std::size_t pos = table->content.find("X(" + enumerator + ",");
+    int line = pos == std::string::npos
+                   ? 1
+                   : 1 + static_cast<int>(std::count(
+                             table->content.begin(),
+                             table->content.begin() + static_cast<std::ptrdiff_t>(pos),
+                             '\n'));
+    per_file[table->path].push_back(
+        {table->path, line, "unused-lock-level",
+         "lock level '" + name + "' (" + enumerator +
+             ") is named by no util::Mutex / util::SharedMutex under src/; "
+             "delete its row"});
+  }
+}
+
 }  // namespace
 
 const std::vector<std::pair<std::string, int>>& lock_hierarchy() {
@@ -1097,6 +1131,7 @@ std::vector<Violation> lint_sources(const std::vector<SourceFile>& files) {
 
   std::map<std::string, std::vector<Violation>> graph_violations;
   run_graph_pass(graph_inputs, graph_violations);
+  check_unused_levels(files, graph_inputs, graph_violations);
   for (auto& [path, found] : graph_violations) {
     auto it = states.find(path);
     if (it == states.end()) continue;

@@ -59,6 +59,10 @@
 //                 util::ThreadPool; this stops a hand-rolled pool (its
 //                 own deque, condvar, stop flag and join loop) from
 //                 growing back.
+//   unused-lock-level  (tree-wide, when the lint set includes
+//                 src/util/lock_levels.hpp) a level in the table that no
+//                 util::Mutex / util::SharedMutex declaration under src/
+//                 names. A deleted mutex must take its rank with it.
 //   bad-allow     a `// clarens-lint: allow(rule)` escape hatch without
 //                 a justification, or naming an unknown rule.
 //
